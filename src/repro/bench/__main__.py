@@ -170,7 +170,10 @@ def main(argv=None) -> int:
             run_id = record_bench_suite(args.store, payload, date=today)
             print(f"{name}: recorded run {run_id} into {args.store}")
         for row in suite.rows():
-            line = f"  {row['benchmark']:<16} {row['median']:>10}  {row['rate']}"
+            line = (
+                f"  {row['benchmark']:<16} {row['median']:>10}"
+                f"  (min {row['min']}, iqr {row['iqr']})  {row['rate']}"
+            )
             speedups = payload.get("speedup_vs_baseline", {})
             if row["benchmark"] in speedups:
                 line += f"  ({speedups[row['benchmark']]:.2f}x vs baseline)"

@@ -90,6 +90,18 @@ class BenchResult:
         return statistics.median(self.runs_s)
 
     @property
+    def min_s(self) -> float:
+        return min(self.runs_s)
+
+    @property
+    def iqr_s(self) -> float:
+        """Interquartile range of the runs (0 for a single run)."""
+        if len(self.runs_s) < 2:
+            return 0.0
+        q1, _, q3 = statistics.quantiles(self.runs_s, n=4, method="inclusive")
+        return q3 - q1
+
+    @property
     def rate(self) -> float:
         """Work units per wall-clock second at the median."""
         m = self.median_s
@@ -98,6 +110,8 @@ class BenchResult:
     def to_dict(self) -> dict:
         return {
             "median_s": round(self.median_s, 6),
+            "min_s": round(self.min_s, 6),
+            "iqr_s": round(self.iqr_s, 6),
             "runs_s": [round(r, 6) for r in self.runs_s],
             "units": self.units,
             "unit_name": self.unit_name,
@@ -126,6 +140,8 @@ class SuiteResult:
             {
                 "benchmark": r.name,
                 "median": f"{r.median_s * 1e3:.1f}ms",
+                "min": f"{r.min_s * 1e3:.1f}ms",
+                "iqr": f"{r.iqr_s * 1e3:.1f}ms",
                 "rate": f"{r.rate:,.0f} {r.unit_name}/s",
             }
             for r in self.results

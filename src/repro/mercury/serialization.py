@@ -15,7 +15,7 @@ hand-count bytes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Iterable
 
 from ..config import Replaceable
 
@@ -48,15 +48,80 @@ class SerializationModel(Replaceable):
 _OVERHEAD_PER_ITEM = 8  # length/tag prefix, like an XDR 4+4
 _NULL_SIZE = 4
 
+#: Encoded size of the fixed-size scalars, keyed by exact type.
+_SCALAR_SIZE: dict[type, int] = {
+    type(None): _NULL_SIZE,
+    bool: _NULL_SIZE,
+    int: 8,
+    float: 8,
+}
+
 
 def estimate_size(payload: Any) -> int:
     """Deterministic encoded-size estimate (bytes) for an RPC payload.
 
     Supports the payload shapes used across the services: None, bool,
-    int, float, str, bytes, and (possibly nested) list/tuple/dict.
+    int, float, str, bytes, and (possibly nested) list/tuple/dict.  A
+    type that defines ``__encoded_size__`` is counted as that many bytes.
+
+    The built-in types are dispatched on their exact type; anything else
+    (subclasses, ``__encoded_size__`` carriers, unsupported types) takes
+    the generic path, which gives the same sizes.
     """
-    if payload is None:
-        return _NULL_SIZE
+    cls = type(payload)
+    size = _SCALAR_SIZE.get(cls)
+    if size is not None:
+        return size
+    sizer = _SIZERS.get(cls)
+    if sizer is not None:
+        return sizer(payload)
+    return _generic_size(payload)
+
+
+def _str_size(s: str) -> int:
+    return _OVERHEAD_PER_ITEM + (len(s) if s.isascii() else len(s.encode("utf-8")))
+
+
+def _bytes_size(b: bytes) -> int:
+    return _OVERHEAD_PER_ITEM + len(b)
+
+
+def _elements_size(items: Iterable[Any]) -> int:
+    """Summed size of ``items``, making no call for a scalar or an ASCII
+    ``str``."""
+    total = 0
+    scalar = _SCALAR_SIZE.get
+    for v in items:
+        cls = type(v)
+        size = scalar(cls)
+        if size is None:
+            if cls is str and v.isascii():
+                size = _OVERHEAD_PER_ITEM + len(v)
+            else:
+                size = estimate_size(v)
+        total += size
+    return total
+
+
+def _sequence_size(seq: list | tuple) -> int:
+    return _OVERHEAD_PER_ITEM + _elements_size(seq)
+
+
+def _dict_size(d: dict) -> int:
+    return _OVERHEAD_PER_ITEM + _elements_size(d) + _elements_size(d.values())
+
+
+_SIZERS = {
+    str: _str_size,
+    bytes: _bytes_size,
+    list: _sequence_size,
+    tuple: _sequence_size,
+    dict: _dict_size,
+}
+
+
+def _generic_size(payload: Any) -> int:
+    """The ``isinstance`` path for every type without an exact-type entry."""
     encoded = getattr(type(payload), "__encoded_size__", None)
     if encoded is not None:
         return int(encoded)

@@ -17,8 +17,7 @@ common :class:`~repro.symbiosys.export.registry.Exporter` protocol:
   run into a :mod:`repro.store` database.
 
 Every historical name still imports from here unchanged
-(``from repro.symbiosys.export import events_to_json`` etc.); the old
-``repro.symbiosys.exporters`` module remains as a deprecation shim.
+(``from repro.symbiosys.export import events_to_json`` etc.).
 """
 
 from .profile import (

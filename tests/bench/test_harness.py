@@ -30,6 +30,17 @@ def test_bench_result_median_and_rate():
     assert r.rate == 500.0
 
 
+def test_bench_result_spread():
+    r = BenchResult(name="b", runs_s=[0.5, 0.1, 0.3, 0.2, 0.4], units=100, unit_name="ops")
+    assert r.min_s == 0.1
+    assert r.iqr_s == 0.4 - 0.2
+    d = r.to_dict()
+    assert (d["min_s"], d["iqr_s"]) == (0.1, 0.2)
+    row = SuiteResult(suite="kernel", results=[r], meta={}).rows()[0]
+    assert (row["min"], row["iqr"]) == ("100.0ms", "200.0ms")
+    assert BenchResult(name="one", runs_s=[0.7], units=1, unit_name="ops").iqr_s == 0.0
+
+
 def test_time_bench_runs_fn_repeats_times():
     calls = []
 

@@ -1,9 +1,13 @@
 """Tests for the serialization cost model and size estimation."""
 
-import pytest
-from hypothesis import given, strategies as st
+import enum
+from collections import OrderedDict
 
-from repro.mercury import SerializationModel, estimate_size
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from repro.mercury import BulkRef, SerializationModel, estimate_size
 
 
 def test_ser_time_affine():
@@ -104,3 +108,107 @@ def test_bulk_ref_explicit_size_overrides_estimate():
     ref = BulkRef(b"abc", 999)
     assert ref.nbytes == 999
     assert BulkRef(b"abc", 0).nbytes == 0
+
+
+# -- differential test against the isinstance-chain estimator -------------------
+
+
+def reference_size(payload):
+    """The estimator before exact-type dispatch: one ``__encoded_size__``
+    lookup and ``isinstance`` chain per node.  Kept as the oracle that the
+    fast path must match byte for byte."""
+    if payload is None:
+        return 4
+    encoded = getattr(type(payload), "__encoded_size__", None)
+    if encoded is not None:
+        return int(encoded)
+    if isinstance(payload, bool):
+        return 4
+    if isinstance(payload, int):
+        return 8
+    if isinstance(payload, float):
+        return 8
+    if isinstance(payload, bytes):
+        return 8 + len(payload)
+    if isinstance(payload, str):
+        return 8 + len(payload.encode("utf-8"))
+    if isinstance(payload, (list, tuple)):
+        return 8 + sum(reference_size(v) for v in payload)
+    if isinstance(payload, dict):
+        return 8 + sum(reference_size(k) + reference_size(v) for k, v in payload.items())
+    raise TypeError(f"cannot estimate encoded size of {type(payload).__name__}")
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+class _Name(str):
+    pass
+
+
+class _Doc(dict):
+    pass
+
+
+_text = st.text(max_size=12) | st.sampled_from(["", "é", "日本", "a\x00b", "plain"])
+
+_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**70), 2**70),
+    st.floats(allow_nan=False),
+    _text,
+    st.binary(max_size=12),
+    st.sampled_from(list(_Level)),
+    _text.map(_Name),
+    st.floats(allow_nan=False).map(np.float64),
+)
+
+_keys = st.one_of(
+    _text,
+    st.integers(-1000, 1000),
+    st.binary(max_size=6),
+    st.none(),
+    st.booleans(),
+    st.sampled_from(list(_Level)),
+    _text.map(_Name),
+)
+
+
+def _containers(children):
+    return st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(_keys, children, max_size=5),
+        st.dictionaries(_keys, children, max_size=5).map(_Doc),
+        st.dictionaries(_text, children, max_size=5).map(OrderedDict),
+        children.map(BulkRef),
+    )
+
+
+_payloads = st.recursive(_scalars, _containers, max_leaves=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_payloads)
+@example(["", "é", "日本", True, False, None, 1.5, b""])
+@example(("abc", ("é", [True])))
+@example({"é": "日本", 1: b"", b"k": None, None: (True,), True: False})
+@example({_Name("k"): _Level.HIGH, "x": _Name("é"), "f": np.float64(0.5)})
+@example(_Doc(a=OrderedDict(b=[BulkRef({"c": "é"})])))
+def test_estimate_size_matches_reference(payload):
+    assert estimate_size(payload) == reference_size(payload)
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [object(), np.int64(3), [1, object()], {"k": np.int64(3)}, {"k": (None, b"", object())}],
+)
+def test_estimate_size_rejects_what_reference_rejects(payload):
+    with pytest.raises(TypeError) as expected:
+        reference_size(payload)
+    with pytest.raises(TypeError) as got:
+        estimate_size(payload)
+    assert str(got.value) == str(expected.value)

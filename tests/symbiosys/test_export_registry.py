@@ -1,7 +1,5 @@
-"""The unified export package: registry protocol, byte-parity with the
-historical per-format helpers, and the deprecation shim."""
-
-import warnings
+"""The unified export package: registry protocol and byte-parity with the
+historical per-format helpers."""
 
 import pytest
 
@@ -109,22 +107,3 @@ class TestStoreExporter:
 
     def test_write_default_filename(self):
         assert get_exporter("store").filename == "perf.db"
-
-
-class TestDeprecationShim:
-    def test_old_module_warns_and_reexports(self):
-        import importlib
-        import sys
-
-        sys.modules.pop("repro.symbiosys.exporters", None)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            shim = importlib.import_module("repro.symbiosys.exporters")
-        assert any(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        )
-        from repro.symbiosys.export import text
-
-        assert shim.to_prometheus is text.to_prometheus
-        assert shim.series_to_csv is text.series_to_csv
-        assert shim.write_text is text.write_text
