@@ -11,9 +11,10 @@ from __future__ import annotations
 from collections import deque
 from typing import Optional, TYPE_CHECKING
 
-from ..sim import SimEvent, Simulator
+from ..sim import SimEvent
 
 if TYPE_CHECKING:  # pragma: no cover
+    from .runtime import AbtRuntime
     from .ult import ULT
 
 __all__ = ["Pool"]
@@ -22,8 +23,9 @@ __all__ = ["Pool"]
 class Pool:
     """An Argobots-style FIFO pool of ready ULTs."""
 
-    def __init__(self, sim: Simulator, name: str = "pool"):
-        self.sim = sim
+    def __init__(self, runtime: "AbtRuntime", name: str = "pool"):
+        self.runtime = runtime
+        self.sim = runtime.sim
         self.name = name
         self._queue: deque["ULT"] = deque()
         self._waiters: deque[SimEvent] = deque()
@@ -43,6 +45,7 @@ class Pool:
         """Append a READY ULT and wake one parked execution stream."""
         self._queue.append(ult)
         self.total_pushed += 1
+        self.runtime.num_ready += 1
         if len(self._queue) > self.high_watermark:
             self.high_watermark = len(self._queue)
         if self._waiters:
@@ -52,6 +55,7 @@ class Pool:
         """Dequeue the next ready ULT, or None if the pool is empty."""
         if self._queue:
             self.total_popped += 1
+            self.runtime.num_ready -= 1
             return self._queue.popleft()
         return None
 

@@ -41,6 +41,12 @@ class AbtRuntime:
         #: Number of ULTs currently blocked on an eventual/mutex -- the
         #: quantity sampled for Figure 10.
         self.num_blocked = 0
+        #: ULTs queued in pools, waiting for an execution stream (kept
+        #: by :meth:`Pool.push`/:meth:`Pool.pop`).
+        self.num_ready = 0
+        #: ULTs currently executing on an execution stream (kept by the
+        #: ESs at slice start and end).
+        self.num_running = 0
         self.total_spawned = 0
         self.total_finished = 0
         self._current_ult: Optional[ULT] = None
@@ -82,7 +88,7 @@ class AbtRuntime:
     # -- construction ------------------------------------------------------
 
     def create_pool(self, name: str = "") -> Pool:
-        pool = Pool(self.sim, name or f"{self.name}.pool{len(self.pools)}")
+        pool = Pool(self, name or f"{self.name}.pool{len(self.pools)}")
         self.pools.append(pool)
         return pool
 
@@ -151,16 +157,6 @@ class AbtRuntime:
         return AbtBarrier(self, parties, name)
 
     # -- introspection (sampled by SYMBIOSYS sysmon) -------------------------
-
-    @property
-    def num_ready(self) -> int:
-        """ULTs queued in pools, waiting for an execution stream."""
-        return sum(len(p) for p in self.pools)
-
-    @property
-    def num_running(self) -> int:
-        """ULTs currently executing on an execution stream."""
-        return sum(1 for es in self.xstreams if es.current is not None)
 
     @property
     def num_active(self) -> int:

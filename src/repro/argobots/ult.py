@@ -12,7 +12,7 @@ stream interpreting it by yielding *ABT effects*:
   pool so other ready ULTs can run.
 
 Blocking a ULT frees its execution stream; that distinction (versus
-blocking the whole kernel task) is what makes handler-pool queueing and
+blocking the whole execution stream) is what makes handler-pool queueing and
 progress-loop starvation emerge naturally in the simulation.
 """
 

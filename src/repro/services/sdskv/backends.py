@@ -16,7 +16,9 @@ what puts wrote); they differ in cost model and concurrency:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import islice
 from typing import Generator, Optional
 
 from ...argobots import AbtRuntime, Compute
@@ -56,6 +58,9 @@ class KVDatabase:
         self.costs = costs
         self.db_id = db_id
         self._data: dict[str, object] = {}
+        #: ``sorted(self._data)`` for prefix scans; None once a new key
+        #: is inserted or a key is erased, rebuilt by the next scan.
+        self._sorted_keys: Optional[list[str]] = []
         self._mutex = (
             runtime.mutex(f"{self.name}-db{db_id}")
             if self.serialized_inserts
@@ -101,6 +106,7 @@ class KVDatabase:
                 )
                 if key not in self._data:
                     self.bytes_stored += nbytes
+                    self._sorted_keys = None
                 self._data[key] = value
         finally:
             if self._mutex is not None:
@@ -126,21 +132,34 @@ class KVDatabase:
     def list_keyvals(
         self, prefix: str = "", max_items: Optional[int] = None
     ) -> Generator:
-        """Prefix scan.  Cost scales with the number of *stored* items
-        (full iteration), which is what makes listing dominate the
-        ior+Mobject read profile (Figure 6)."""
+        """Prefix scan: up to ``max_items`` (all when None) pairs whose key
+        starts with ``prefix``, in key order.
+
+        The simulated cost scales with the number of *stored* items (a
+        full iteration), which is what makes listing dominate the
+        ior+Mobject read profile (Figure 6).  The host side only walks
+        the matching range of the sorted key list.
+        """
+        if max_items is not None and max_items < 0:
+            raise ValueError(f"max_items must be non-negative, got {max_items!r}")
         yield Compute(self.costs.scan_per_item * max(1, len(self._data)))
+        keys = self._sorted_keys
+        if keys is None:
+            keys = self._sorted_keys = sorted(self._data)
+        data = self._data
         out = []
-        for key in sorted(self._data):
-            if key.startswith(prefix):
-                out.append((key, self._data[key]))
-                if max_items is not None and len(out) >= max_items:
-                    break
+        lo = bisect_left(keys, prefix)
+        for key in islice(keys, lo, None if max_items is None else lo + max_items):
+            if not key.startswith(prefix):
+                break
+            out.append((key, data[key]))
         return out
 
     def erase(self, key: str) -> Generator:
         yield Compute(self.costs.put_fixed)
-        self._data.pop(key, None)
+        if key in self._data:
+            del self._data[key]
+            self._sorted_keys = None
 
 
 class MapDatabase(KVDatabase):

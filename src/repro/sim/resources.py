@@ -1,10 +1,9 @@
 """Kernel-level synchronization and queueing primitives.
 
-These primitives are for *simulator tasks* (e.g. network agents and
-execution streams).  User-level threads running inside the simulated
-Argobots runtime must use the ABT primitives in :mod:`repro.argobots`
-instead, because blocking a ULT must free its execution stream rather than
-suspend the kernel task interpreting it.
+These primitives are for *simulator tasks* (e.g. network agents).
+User-level threads running inside the simulated Argobots runtime must use
+the ABT primitives in :mod:`repro.argobots` instead, because blocking a
+ULT must free its execution stream rather than suspend it.
 """
 
 from __future__ import annotations

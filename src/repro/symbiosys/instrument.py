@@ -207,7 +207,6 @@ class SymbiosysInstrumentation(Instrumentation):
         key = ProfileKey(
             callpath=code, origin=mi.addr, target=handle.target_addr
         )
-        self.origin_profile.add(key, "origin_execution_time", origin_exec)
 
         lamport = mi.lamport_receive(header.get("lamport", 0))
         ctx = self._ctx(ult, mi)
@@ -215,14 +214,12 @@ class SymbiosysInstrumentation(Instrumentation):
         order = self._take_order(ctx)
 
         pvars: Optional[tuple] = None
+        items = [("origin_execution_time", origin_exec)]
         if self.stage >= Stage.FULL:
             pvars = self._sample_t14_pvars(handle)
-            self.origin_profile.add(
-                key, "input_serialization_time", pvars[-2]
-            )
-            self.origin_profile.add(
-                key, "origin_completion_callback_time", pvars[-1]
-            )
+            items.append(("input_serialization_time", pvars[-2]))
+            items.append(("origin_completion_callback_time", pvars[-1]))
+        self.origin_profile.add_many(key, items)
 
         rt = mi.rt
         self.trace.append_event(
@@ -393,18 +390,20 @@ class SymbiosysInstrumentation(Instrumentation):
         )
         t8 = handle.marks["t8"]
         t13 = handle.marks.get("t13", t8)
-        prof = self.target_profile
-        prof.add(key, "target_handler_time", ult.local.get("target_handler_time", 0.0))
-        prof.add(key, "target_execution_time", ult.local.get("target_execution_time", 0.0))
-        prof.add(
-            key,
-            "target_execution_time_exclusive",
-            ult.local.get("target_execution_time_exclusive", 0.0),
-        )
-        # ULT-local key strategy: t8 -> t13.
-        prof.add(key, "target_completion_callback_time", t13 - t8)
+        local = ult.local
+        items = [
+            ("target_handler_time", local.get("target_handler_time", 0.0)),
+            ("target_execution_time", local.get("target_execution_time", 0.0)),
+            (
+                "target_execution_time_exclusive",
+                local.get("target_execution_time_exclusive", 0.0),
+            ),
+            # ULT-local key strategy: t8 -> t13.
+            ("target_completion_callback_time", t13 - t8),
+        ]
         if self.stage >= Stage.FULL:
             for name in _TARGET_HANDLE_PVARS:
                 value = handle.pvar_get_or(name, None)
                 if value is not None:
-                    prof.add(key, name, value)
+                    items.append((name, value))
+        self.target_profile.add_many(key, items)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 __all__ = ["IntervalStats", "ProfileKey", "ProfileStore", "INTERVALS"]
 
@@ -32,6 +32,7 @@ INTERVALS = (
     "origin_completion_callback_time",
     "bulk_transfer_time",
 )
+_INTERVAL_SET = frozenset(INTERVALS)
 
 
 _MASK64 = (1 << 64) - 1
@@ -161,13 +162,29 @@ class ProfileStore:
         self._data: dict[ProfileKey, dict[str, IntervalStats]] = {}
 
     def add(self, key: ProfileKey, interval: str, value: float) -> None:
-        if interval not in INTERVALS:
-            raise ValueError(f"unknown interval {interval!r}")
-        by_interval = self._data.setdefault(key, {})
-        stats = by_interval.get(interval)
-        if stats is None:
-            stats = by_interval[interval] = IntervalStats()
-        stats.add(value)
+        self.add_many(key, ((interval, value),))
+
+    def add_many(
+        self, key: ProfileKey, items: Sequence[tuple[str, float]]
+    ) -> None:
+        """Accumulate ``(interval, value)`` pairs under one key, in order.
+
+        One hook's measurements share a key, so the key is hashed once
+        for all of them rather than once per interval.
+        """
+        for interval, _ in items:
+            if interval not in _INTERVAL_SET:
+                raise ValueError(f"unknown interval {interval!r}")
+        by_interval = self._data.get(key)
+        if by_interval is None:
+            if not items:
+                return
+            by_interval = self._data[key] = {}
+        for interval, value in items:
+            stats = by_interval.get(interval)
+            if stats is None:
+                stats = by_interval[interval] = IntervalStats()
+            stats.add(value)
 
     def get(self, key: ProfileKey, interval: str) -> Optional[IntervalStats]:
         return self._data.get(key, {}).get(interval)

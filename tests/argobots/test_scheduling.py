@@ -260,7 +260,7 @@ def test_shutdown_stops_idle_es():
     sim.run(until=5.0)
     rt.shutdown()
     sim.run()
-    # All ES kernel tasks finished; no pending events remain.
+    # Every ES has exited; no pending events remain.
     assert sim.pending_events == 0
 
 
@@ -304,3 +304,225 @@ def test_num_ready_and_blocked_counters():
     sim.run(until=10.0)
     assert snap["blocked"] == 1
     assert snap["after"] == 0
+
+
+# -- scheduler-order regression -------------------------------------------------
+#
+# One run that exercises every path of the execution-stream interpreter on
+# two runtimes sharing a simulator: Compute(0) and Compute(d > 0), context
+# switches that cost nothing and that cost time, waits on an eventual that
+# is already set, unset, timed out and signalled before its timeout,
+# YieldNow, a swallowed ULT error, and shutdown while every ES is parked.
+# The expected values were recorded before the execution streams became
+# callback-driven; any change to when or in which order a slice runs, or to
+# how many kernel events a run takes, shows up here.
+
+
+def _scripted_run():
+    from repro.argobots import WaitEventual
+    from repro.symbiosys.monitor import SchedRecorder
+
+    sim = Simulator()
+    recorder = SchedRecorder()
+    log = []
+    runtimes = []
+    for name, ctx_cost, n_es in (("a", 0.0, 2), ("b", 0.25, 1)):
+        rt = AbtRuntime(sim, name, ctx_switch_cost=ctx_cost, swallow_ult_errors=True)
+        rt.sched_observer = recorder
+        pool = rt.create_pool()
+        for _ in range(n_es):
+            rt.create_xstream(pool)
+        runtimes.append((rt, pool))
+
+    def script(rt, pool):
+        tag = rt.name
+        ready = rt.eventual("ready")
+        ready.signal("r")
+        late = rt.eventual("late")
+        soon = rt.eventual("soon")
+        never = rt.eventual("never")
+
+        def computer():
+            yield Compute(0)
+            yield Compute(1.5)
+            yield Compute(0)
+            yield YieldNow()
+            yield Compute(0.5)
+            log.append((tag, "computer", sim.now))
+
+        def set_waiter():
+            v = yield WaitEventual(ready)
+            w = yield WaitEventual(ready, 1.0)
+            yield Compute(0.25)
+            log.append((tag, "set", v, w, sim.now))
+
+        def unset_waiter():
+            v = yield WaitEventual(late)
+            log.append((tag, "unset", v, sim.now))
+
+        def timeout_waiter():
+            v = yield WaitEventual(never, 0.75)
+            log.append((tag, "timeout", v, sim.now))
+
+        def early_waiter():
+            v = yield WaitEventual(soon, 5.0)
+            yield Compute(0.125)
+            log.append((tag, "early", v, sim.now))
+
+        def signaller():
+            yield Compute(1.0)
+            late.signal("L")
+            soon.signal("S")
+            yield YieldNow()
+            yield Compute(0.125)
+            log.append((tag, "signaller", sim.now))
+
+        def bad():
+            yield Compute(0.375)
+            raise ValueError("swallowed")
+
+        def sleeper():
+            yield from rt.sleep(0.5)
+            log.append((tag, "sleeper", sim.now))
+
+        for body in (computer, set_waiter, unset_waiter, timeout_waiter,
+                     early_waiter, signaller, bad, sleeper):
+            rt.spawn(body(), pool, name=f"{tag}.{body.__name__}")
+
+    for rt, pool in runtimes:
+        script(rt, pool)
+    sim.run()
+    before_shutdown = (sim.events_processed, sim.now)
+    for rt, _ in runtimes:
+        rt.shutdown()
+    sim.run()
+    # A ULT spawned after shutdown finds no parked ES: shutdown withdrew
+    # every ES's wait on its pool, so nothing wakes and nothing runs it.
+    after = [rt.spawn(iter(()), pool, name=f"{rt.name}.late") for rt, pool in runtimes]
+    sim.run()
+    log.extend((u.name, u.state.value) for u in after)
+    slices = [
+        (s.process, s.es, s.ult, s.kind, s.start, s.end, s.reason)
+        for s in recorder.slices
+    ]
+    busy = [es.busy_time for rt, _ in runtimes for es in rt.xstreams]
+    return slices, busy, log, before_shutdown, (sim.events_processed, sim.now), sim
+
+
+_EXPECTED_SLICES = [
+    ("a", "a.es1", "a.set_waiter", "run", 0.0, 0.25, "end"),
+    ("a", "a.es1", "a.unset_waiter", "run", 0.25, 0.25, "block"),
+    ("a", "a.es1", "a.timeout_waiter", "run", 0.25, 0.25, "block"),
+    ("a", "a.es1", "a.early_waiter", "run", 0.25, 0.25, "block"),
+    ("a", "a.es1", "a.signaller", "run", 0.25, 1.25, "yield"),
+    ("a", "a.es0", "a.computer", "run", 0.0, 1.5, "yield"),
+    ("a", "a.es0", "a.sleeper", "run", 1.5, 1.5, "block"),
+    ("a", "a.es0", "a.timeout_waiter", "block", 0.25, 1.5, ""),
+    ("a", "a.es0", "a.timeout_waiter", "run", 1.5, 1.5, "end"),
+    ("a", "a.es0", "a.unset_waiter", "block", 0.25, 1.5, ""),
+    ("a", "a.es0", "a.unset_waiter", "run", 1.5, 1.5, "end"),
+    ("a", "a.es1", "a.bad", "run", 1.25, 1.625, "end"),
+    ("a", "a.es0", "a.early_waiter", "block", 0.25, 1.5, ""),
+    ("a", "a.es0", "a.early_waiter", "run", 1.5, 1.625, "end"),
+    ("b", "b.es0", "b.computer", "run", 0.0, 1.75, "yield"),
+    ("a", "a.es1", "a.signaller", "run", 1.625, 1.75, "end"),
+    ("a", "a.es1", "a.sleeper", "block", 1.5, 2.0, ""),
+    ("a", "a.es1", "a.sleeper", "run", 2.0, 2.0, "end"),
+    ("a", "a.es0", "a.computer", "run", 1.625, 2.125, "end"),
+    ("b", "b.es0", "b.set_waiter", "run", 1.75, 2.25, "end"),
+    ("b", "b.es0", "b.unset_waiter", "run", 2.25, 2.5, "block"),
+    ("b", "b.es0", "b.timeout_waiter", "run", 2.5, 2.75, "block"),
+    ("b", "b.es0", "b.early_waiter", "run", 2.75, 3.0, "block"),
+    ("b", "b.es0", "b.signaller", "run", 3.0, 4.25, "yield"),
+    ("b", "b.es0", "b.bad", "run", 4.25, 4.875, "end"),
+    ("b", "b.es0", "b.sleeper", "run", 4.875, 5.125, "block"),
+    ("b", "b.es0", "b.computer", "run", 5.125, 5.875, "end"),
+    ("b", "b.es0", "b.timeout_waiter", "block", 2.75, 5.875, ""),
+    ("b", "b.es0", "b.timeout_waiter", "run", 5.875, 6.125, "end"),
+    ("b", "b.es0", "b.unset_waiter", "block", 2.5, 6.125, ""),
+    ("b", "b.es0", "b.unset_waiter", "run", 6.125, 6.375, "end"),
+    ("b", "b.es0", "b.early_waiter", "block", 3.0, 6.375, ""),
+    ("b", "b.es0", "b.early_waiter", "run", 6.375, 6.75, "end"),
+    ("b", "b.es0", "b.signaller", "run", 6.75, 7.125, "end"),
+    ("b", "b.es0", "b.sleeper", "block", 5.125, 7.125, ""),
+    ("b", "b.es0", "b.sleeper", "run", 7.125, 7.375, "end"),
+]
+
+_EXPECTED_LOG = [
+    ("a", "set", "r", (True, "r"), 0.25),
+    ("a", "timeout", (False, None), 1.5),
+    ("a", "unset", "L", 1.5),
+    ("a", "early", (True, "S"), 1.625),
+    ("a", "signaller", 1.75),
+    ("a", "sleeper", 2.0),
+    ("a", "computer", 2.125),
+    ("b", "set", "r", (True, "r"), 2.25),
+    ("b", "computer", 5.875),
+    ("b", "timeout", (False, None), 6.125),
+    ("b", "unset", "L", 6.375),
+    ("b", "early", (True, "S"), 6.75),
+    ("b", "signaller", 7.125),
+    ("b", "sleeper", 7.375),
+    ("a.late", "ready"),
+    ("b.late", "ready"),
+]
+
+
+def test_scheduler_order_is_pinned():
+    slices, busy, log, before_shutdown, final, sim = _scripted_run()
+    assert slices == _EXPECTED_SLICES
+    assert log == _EXPECTED_LOG
+    assert busy == [2.125, 1.75, 7.375]
+    # 38 events up to the last stale wait timer at t=8; shutdown then
+    # fires one callback per park still registered on the shutdown event,
+    # and the late spawns add none.
+    assert before_shutdown == (38, 8.0)
+    assert final == (42, 8.0)
+    assert sim.pending_events == 0
+
+
+def test_ult_error_propagates_out_of_run_and_closes_the_slice():
+    from repro.symbiosys.monitor import SchedRecorder
+
+    sim, rt, pool = make_runtime(ctx_cost=0.25)
+    recorder = SchedRecorder()
+    rt.sched_observer = recorder
+
+    def bad():
+        yield Compute(1.0)
+        raise ValueError("escapes")
+
+    ult = rt.spawn(bad(), pool, name="bad")
+    with pytest.raises(ValueError, match="escapes"):
+        sim.run()
+    assert ult.terminated and isinstance(ult.error, ValueError)
+    assert [(s.ult, s.start, s.end, s.reason) for s in recorder.slices] == [
+        ("bad", 0.0, 1.25, "end")
+    ]
+    assert rt.xstreams[0].current is None
+    assert rt.num_running == 0
+    assert rt.self_ult() is None
+
+
+def test_unswallowed_ult_error_stops_its_es_under_swallow_task_errors():
+    """With ``Simulator(swallow_task_errors=True)`` an unswallowed ULT
+    error stops its execution stream, as it stopped a failed kernel task:
+    the run goes on, and the ULT queued behind it never starts."""
+    sim = Simulator(swallow_task_errors=True)
+    rt = AbtRuntime(sim, ctx_switch_cost=0.0)
+    pool = rt.create_pool()
+    rt.create_xstream(pool)
+
+    def bad():
+        yield Compute(1.0)
+        raise ValueError("stops the ES")
+
+    def good():
+        yield Compute(1.0)
+
+    b = rt.spawn(bad(), pool)
+    g = rt.spawn(good(), pool)
+    sim.run()
+    assert b.terminated and isinstance(b.error, ValueError)
+    assert g.state is UltState.READY and len(pool) == 1
+    assert (sim.now, sim.events_processed, rt.num_running) == (1.0, 2, 0)

@@ -121,3 +121,55 @@ def test_time_analysis_scripts():
     assert timings.system_summary_s >= 0
     assert timings.trace_events == result.collector.total_trace_events
     assert timings.rows()[0]["trace events"] == timings.trace_events
+
+
+class _GaugeOracle:
+    """Scheduler observer checking the runtime's O(1) gauges against a
+    recount of pools and execution streams at every spawn and slice."""
+
+    def __init__(self, rt):
+        self.rt = rt
+        self.checks = 0
+
+    def _check(self):
+        rt = self.rt
+        assert rt.num_ready == sum(len(p) for p in rt.pools)
+        assert rt.num_running == sum(es.current is not None for es in rt.xstreams)
+        self.checks += 1
+
+    def on_spawn(self, ult):
+        self._check()
+
+    def on_slice(self, es, ult, start, end):
+        self._check()
+
+
+@pytest.fixture
+def gauge_oracles(monkeypatch):
+    from repro.argobots import AbtRuntime
+
+    oracles = []
+    init = AbtRuntime.__init__
+
+    def observed_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        oracle = _GaugeOracle(self)
+        self.add_sched_observer(oracle)
+        oracles.append(oracle)
+
+    monkeypatch.setattr(AbtRuntime, "__init__", observed_init)
+    return oracles
+
+
+@pytest.mark.parametrize("harness", ["mobject", "hepnos"])
+def test_runtime_gauges_match_recount(gauge_oracles, harness):
+    if harness == "mobject":
+        run_mobject_experiment(
+            n_clients=3,
+            ior_config=IorConfig(objects_per_client=2, transfer_size=4096,
+                                 read_iterations=1),
+        )
+    else:
+        run_hepnos_experiment(SMALL, events_per_client=128)
+    assert len(gauge_oracles) > 1
+    assert all(o.checks > 0 for o in gauge_oracles)

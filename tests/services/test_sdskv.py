@@ -1,6 +1,7 @@
 """Tests for the SDSKV microservice and its backends."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.argobots import AbtRuntime
 from repro.services.sdskv import (
@@ -115,6 +116,81 @@ def test_erase_removes_key():
     sim.run(until=1.0)
     assert out["v"] is None
     assert len(db) == 0
+
+
+def _run_ops(db, rt, pool, sim, body):
+    out = []
+    rt.spawn(body(out), pool)
+    sim.run()
+    return out
+
+
+def test_list_keyvals_limits():
+    sim, rt, pool, db = make_db("map")
+
+    def body(out):
+        yield from db.put_many([("a:1", 1), ("a:2", 2), ("b:1", 3)])
+        out.append((yield from db.list_keyvals("a:", max_items=0)))
+        out.append((yield from db.list_keyvals("", max_items=1)))
+        try:
+            yield from db.list_keyvals("", max_items=-1)
+        except ValueError as exc:
+            out.append(str(exc))
+
+    assert _run_ops(db, rt, pool, sim, body) == [
+        [],
+        [("a:1", 1)],
+        "max_items must be non-negative, got -1",
+    ]
+
+
+_KEYS = st.text(alphabet="ab:", max_size=4)
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("put"), st.lists(st.tuples(_KEYS, st.integers(0, 9)), max_size=4)),
+        st.tuples(st.just("erase"), st.one_of(st.just(None), _KEYS)),
+        st.tuples(
+            st.just("list"),
+            st.sampled_from(["", "\uffff", "key", "a", "a:", "b"]),
+            st.sampled_from([None, 1, "n"]),
+        ),
+    ),
+    max_size=25,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ops=_OPS, backend=st.sampled_from(sorted(BACKENDS)), data=st.data())
+def test_list_keyvals_matches_reference_scan(ops, backend, data):
+    """Interleaved puts, erases and prefix scans agree with a plain
+    ``sorted()`` + ``startswith`` scan of a reference dict."""
+    sim, rt, pool, db = make_db(backend, n_es=1)
+    ref = {}
+    expected = []
+
+    def body(out):
+        for op in ops:
+            if op[0] == "put":
+                yield from db.put_many(op[1])
+                ref.update(op[1])
+            elif op[0] == "erase":
+                key = op[1]
+                if key is None:  # a stored key, when there is one
+                    key = data.draw(st.sampled_from(sorted(ref) or [""]))
+                yield from db.erase(key)
+                ref.pop(key, None)
+            else:
+                prefix, limit = op[1], op[2]
+                if prefix == "key":  # equal to a full stored key
+                    prefix = data.draw(st.sampled_from(sorted(ref) or [""]))
+                if limit == "n":
+                    limit = len(ref)
+                matches = [(k, ref[k]) for k in sorted(ref) if k.startswith(prefix)]
+                expected.append(matches if limit is None else matches[:limit])
+                out.append((yield from db.list_keyvals(prefix, limit)))
+
+    assert _run_ops(db, rt, pool, sim, body) == expected
+    assert len(db) == len(ref)
 
 
 def test_unknown_backend_rejected():

@@ -52,6 +52,41 @@ def test_store_unknown_interval_rejected():
         store.add(key, "not_an_interval", 1.0)
 
 
+_NAMES = st.sampled_from(
+    ["origin_execution_time", "target_handler_time", "bulk_transfer_time"]
+)
+
+
+@given(batches=st.lists(
+    st.lists(st.tuples(_NAMES, st.floats(0, 1e3, allow_nan=False)), max_size=5),
+    max_size=40,
+))
+def test_store_add_many_equals_repeated_add(batches):
+    """One ``add_many`` per batch leaves the same counts, totals, extremes,
+    reservoirs and interval order as one ``add`` per pair."""
+    key = ProfileKey(callpath=7, origin="a", target="b")
+    one, many = ProfileStore(), ProfileStore()
+    for batch in batches:
+        for name, value in batch:
+            one.add(key, name, value)
+        many.add_many(key, batch)
+    assert len(one) == len(many)
+    want, got = one.intervals_for(key), many.intervals_for(key)
+    assert list(want) == list(got)
+    for name in want:
+        assert want[name] == got[name]
+
+
+def test_store_add_many_rejects_unknown_interval_before_adding():
+    store = ProfileStore()
+    key = ProfileKey(callpath=1, origin="a", target="b")
+    with pytest.raises(ValueError, match="not_an_interval"):
+        store.add_many(
+            key, [("origin_execution_time", 1.0), ("not_an_interval", 1.0)]
+        )
+    assert len(store) == 0
+
+
 def test_store_separate_keys():
     store = ProfileStore()
     k1 = ProfileKey(callpath=1, origin="a", target="b")
