@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, Optional
 
 from ..tracing import EventKind, FaultAnnotation, TraceEvent
@@ -37,7 +38,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(slots=True)
 class Span:
     """One RPC reconstructed from its (up to) four trace events."""
 
@@ -100,7 +101,7 @@ class RequestTrace:
             for s in root.walk()
             if s is not root
         ]
-        subs.sort(key=lambda s: (s.t1 if s.t1 is not None else float("inf")))
+        subs.sort(key=_span_start)
         return [s.rpc_name for s in subs]
 
     def structure_signature(self) -> tuple:
@@ -169,16 +170,37 @@ class TraceSummary:
         return "\n".join(lines)
 
 
+#: Slot of each event kind in a span's (t1, t5, t8, t14) quadruple.
+_QUAD_SLOT = {
+    EventKind.ORIGIN_FORWARD: 0,
+    EventKind.TARGET_ULT_START: 1,
+    EventKind.TARGET_RESPOND: 2,
+    EventKind.ORIGIN_COMPLETE: 3,
+}
+
+#: Happened-before sort key of the stitcher: ``(lamport, order)``.
+_LAMPORT_ORDER = attrgetter("lamport", "order")
+
+
+def _span_start(span: Span) -> float:
+    return span.t1 if span.t1 is not None else float("inf")
+
+
 def estimate_clock_offsets(events: list[TraceEvent]) -> dict[str, float]:
     """Estimate each process's clock offset from span message deltas.
 
     Returns offsets such that ``corrected = local_ts - offset[process]``
     puts all processes on the reference process's timeline.
     """
-    # Collect per-span event quadruples.
-    by_span: dict[int, dict[EventKind, TraceEvent]] = {}
+    # Per-span event quadruples, grouped in one pass (the last event of
+    # each kind wins).
+    quads: dict[int, list] = {}
+    slot = _QUAD_SLOT
     for ev in events:
-        by_span.setdefault(ev.span_id, {})[ev.kind] = ev
+        quad = quads.get(ev.span_id)
+        if quad is None:
+            quad = quads[ev.span_id] = [None, None, None, None]
+        quad[slot[ev.kind]] = ev
 
     # Pairwise delta samples: the forward leg carries +offset(B-A) plus
     # queueing, the backward leg carries -offset(B-A) plus queueing.
@@ -187,12 +209,8 @@ def estimate_clock_offsets(events: list[TraceEvent]) -> dict[str, float]:
     # pure (symmetric) wire latency.
     fwd: dict[tuple[str, str], list[float]] = {}
     bwd: dict[tuple[str, str], list[float]] = {}
-    for quad in by_span.values():
-        of = quad.get(EventKind.ORIGIN_FORWARD)
-        tus = quad.get(EventKind.TARGET_ULT_START)
-        tr = quad.get(EventKind.TARGET_RESPOND)
-        oc = quad.get(EventKind.ORIGIN_COMPLETE)
-        if None in (of, tus, tr, oc):
+    for of, tus, tr, oc in quads.values():
+        if of is None or tus is None or tr is None or oc is None:
             continue
         a, b = of.process, tus.process
         if a == b:
@@ -259,8 +277,11 @@ def stitch_traces(
     whose window covers it (see :attr:`Span.faults`)."""
     offsets = estimate_clock_offsets(events)
 
+    # One pass in happened-before order builds the spans and groups them
+    # by request (both dicts in first-seen order).
     spans: dict[int, Span] = {}
-    for ev in sorted(events, key=lambda e: (e.lamport, e.order)):
+    by_request: dict[str, list[Span]] = {}
+    for ev in sorted(events, key=_LAMPORT_ORDER):
         span = spans.get(ev.span_id)
         if span is None:
             span = spans[ev.span_id] = Span(
@@ -270,49 +291,47 @@ def stitch_traces(
                 rpc_name=ev.rpc_name,
                 callpath=ev.callpath,
             )
+            group = by_request.get(ev.request_id)
+            if group is None:
+                by_request[ev.request_id] = [span]
+            else:
+                group.append(span)
         span.events.append(ev)
         ts = ev.local_ts - offsets.get(ev.process, 0.0)
-        if ev.kind is EventKind.ORIGIN_FORWARD:
+        kind = ev.kind
+        if kind is EventKind.ORIGIN_FORWARD:
             span.origin_process = ev.process
             span.t1 = ts
-        elif ev.kind is EventKind.TARGET_ULT_START:
+        elif kind is EventKind.TARGET_ULT_START:
             span.target_process = ev.process
             span.t5 = ts
-        elif ev.kind is EventKind.TARGET_RESPOND:
+        elif kind is EventKind.TARGET_RESPOND:
             span.target_process = ev.process
             span.t8 = ts
-        elif ev.kind is EventKind.ORIGIN_COMPLETE:
+        elif kind is EventKind.ORIGIN_COMPLETE:
             span.origin_process = ev.process
             span.t14 = ts
 
     requests: dict[str, RequestTrace] = {}
-    by_request: dict[str, list[Span]] = {}
-    for span in spans.values():
-        by_request.setdefault(span.request_id, []).append(span)
-
     for request_id, req_spans in by_request.items():
         index = {s.span_id: s for s in req_spans}
         roots: list[Span] = []
         for span in req_spans:
-            parent = (
-                index.get(span.parent_span_id)
-                if span.parent_span_id is not None
-                else None
-            )
+            # Span ids are ints, so a None parent never matches.
+            parent = index.get(span.parent_span_id)
             if parent is None:
                 roots.append(span)
             else:
                 parent.children.append(span)
         for span in req_spans:
-            span.children.sort(
-                key=lambda s: (s.t1 if s.t1 is not None else float("inf"))
-            )
+            if len(span.children) > 1:
+                span.children.sort(key=_span_start)
         requests[request_id] = RequestTrace(
             request_id=request_id, roots=roots, spans=index
         )
 
     annotations: list[FaultAnnotation] = []
-    if annotations_by_process:
+    if annotations_by_process and any(annotations_by_process.values()):
         _attribute_faults(spans, annotations_by_process)
         # Wire faults are recorded into both endpoints' buffers; the
         # flat view dedupes them (FaultAnnotation is frozen/hashable).

@@ -18,6 +18,7 @@ chunk always means "empty slot", keeping decoding unambiguous.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
 __all__ = [
@@ -34,8 +35,13 @@ _MASK64 = (1 << 64) - 1
 _MASK16 = (1 << 16) - 1
 
 
+@functools.lru_cache(maxsize=1024)
 def hash16(rpc_name: str) -> int:
-    """Stable 16-bit hash of an RPC name, in ``1..65535``."""
+    """Stable 16-bit hash of an RPC name, in ``1..65535``.
+
+    A pure function of the name, memoised because every forward hashes
+    its RPC name twice (registry and :func:`push`); a service registers
+    a few dozen names, so the bounded cache always hits."""
     digest = hashlib.sha256(rpc_name.encode("utf-8")).digest()
     h = int.from_bytes(digest[:2], "little")
     return (h % _MASK16) + 1  # never 0

@@ -132,16 +132,11 @@ class SymbiosysInstrumentation(Instrumentation):
             ult.local["trace_ctx"] = ctx
         return ctx
 
-    @staticmethod
-    def _take_order(ctx: dict) -> int:
-        order = ctx["next_order"]
-        ctx["next_order"] = order + 1
-        return order
-
     def _sample_t14_pvars(self, handle: "HGHandle") -> tuple:
         """The 9-tuple of t14 samples in trace-record order
         (TRACE_PVAR_INT_KEYS then the two handle timer PVARs)."""
-        return tuple(r() for r in self._t14_readers) + (
+        return (
+            *[r() for r in self._t14_readers],
             handle.pvar_get_or("input_serialization_time"),
             handle.pvar_get_or("origin_completion_callback_time"),
         )
@@ -151,37 +146,42 @@ class SymbiosysInstrumentation(Instrumentation):
     def on_forward(self, mi, handle, ult) -> None:
         if self.stage < Stage.STAGE1:
             return
-        self.registry.register(handle.rpc_name)
-        parent_code = ult.local.get("callpath", 0) if ult is not None else 0
-        code = push(parent_code, handle.rpc_name)
+        rpc_name = handle.rpc_name
+        self.registry.register(rpc_name)
+        local = ult.local if ult is not None else None
+        parent_code = local.get("callpath", 0) if local is not None else 0
+        code = push(parent_code, rpc_name)
         ctx = self._ctx(ult, mi, new_request=True)
         span_id = self.span_ids()
-        parent_span = ult.local.get("span_id") if ult is not None else None
+        parent_span = local.get("span_id") if local is not None else None
         lamport = mi.lamport_tick()
-        order = self._take_order(ctx)
+        request_id = ctx["request_id"]
+        order = ctx["next_order"]
+        ctx["next_order"] = order + 1
 
         header = handle.header
         header["callpath"] = code
-        header["request_id"] = ctx["request_id"]
-        header["order"] = ctx["next_order"]  # next value for the target
+        header["request_id"] = request_id
+        header["order"] = order + 1  # next value for the target
         header["lamport"] = lamport
         header["span_id"] = span_id
         header["parent_span_id"] = parent_span
 
-        if ult is not None:
+        now = mi.sim.now
+        if local is not None:
             # Origin execution time uses the ULT-local key strategy.
-            ult.local[("t1", handle.cookie)] = mi.sim.now
+            local[("t1", handle.cookie)] = now
 
         if self.stage >= Stage.STAGE2:
             rt = mi.rt
             self.trace.append_event(
                 _K_ORIGIN_FORWARD,
-                ctx["request_id"],
+                request_id,
                 order,
                 lamport,
-                mi.local_time(),
-                mi.sim.now,
-                handle.rpc_name,
+                mi.clock.read(now),
+                now,
+                rpc_name,
                 code,
                 span_id,
                 parent_span,
@@ -196,29 +196,32 @@ class SymbiosysInstrumentation(Instrumentation):
     def on_forward_complete(self, mi, handle, ult, t1: float, t14: float) -> None:
         if self.stage < Stage.STAGE2:
             return
-        header = handle.header
-        code = header.get("callpath", 0)
+        get = handle.header.get
+        code = get("callpath", 0)
         # Retrieve t1 through the ULT-local key, as the paper does.
         t1_local = (
             ult.local.pop(("t1", handle.cookie), t1) if ult is not None else t1
         )
         origin_exec = t14 - t1_local
-
         key = ProfileKey(
             callpath=code, origin=mi.addr, target=handle.target_addr
         )
 
-        lamport = mi.lamport_receive(header.get("lamport", 0))
+        lamport = mi.lamport_receive(get("lamport", 0))
         ctx = self._ctx(ult, mi)
-        ctx["next_order"] = max(ctx["next_order"], header.get("order", 0))
-        order = self._take_order(ctx)
+        order = max(ctx["next_order"], get("order", 0))
+        ctx["next_order"] = order + 1
 
-        pvars: Optional[tuple] = None
-        items = [("origin_execution_time", origin_exec)]
         if self.stage >= Stage.FULL:
-            pvars = self._sample_t14_pvars(handle)
-            items.append(("input_serialization_time", pvars[-2]))
-            items.append(("origin_completion_callback_time", pvars[-1]))
+            pvars: Optional[tuple] = self._sample_t14_pvars(handle)
+            items: tuple = (
+                ("origin_execution_time", origin_exec),
+                ("input_serialization_time", pvars[-2]),
+                ("origin_completion_callback_time", pvars[-1]),
+            )
+        else:
+            pvars = None
+            items = (("origin_execution_time", origin_exec),)
         self.origin_profile.add_many(key, items)
 
         rt = mi.rt
@@ -234,9 +237,9 @@ class SymbiosysInstrumentation(Instrumentation):
             t14,
             handle.rpc_name,
             code,
-            header.get("span_id", 0),
-            header.get("parent_span_id"),
-            header.get("provider_id", 0),
+            get("span_id", 0),
+            get("parent_span_id"),
+            get("provider_id", 0),
             rt.num_blocked,
             rt.num_ready,
             rt.num_running,
@@ -290,40 +293,48 @@ class SymbiosysInstrumentation(Instrumentation):
     def on_handler_start(self, mi, handle, ult) -> None:
         if self.stage < Stage.STAGE1:
             return
-        header = handle.header
+        get = handle.header.get
+        code = get("callpath", 0)
+        span_id = get("span_id")
+        request_id = get("request_id")
+        if request_id is None:
+            request_id = f"orphan-{handle.cookie}"
+        order = get("order", 0)
         # Continue the distributed chain: downstream RPCs made by this ULT
         # extend the ancestry we received.
-        ult.local["callpath"] = header.get("callpath", 0)
-        ult.local["span_id"] = header.get("span_id")
-        ult.local["trace_ctx"] = {
-            "request_id": header.get("request_id", f"orphan-{handle.cookie}"),
-            "next_order": header.get("order", 0),
+        local = ult.local
+        local["callpath"] = code
+        local["span_id"] = span_id
+        ctx = local["trace_ctx"] = {
+            "request_id": request_id,
+            "next_order": order,
             "inherited": True,
         }
-        ult.local["child_rpc_time"] = 0.0
-        lamport = mi.lamport_receive(header.get("lamport", 0))
+        local["child_rpc_time"] = 0.0
+        lamport = mi.lamport_receive(get("lamport", 0))
 
         if self.stage < Stage.STAGE2:
             return
-        t4 = handle.marks.get("t4", mi.sim.now)
-        t5 = handle.marks.get("t5", mi.sim.now)
+        marks = handle.marks
+        now = mi.sim.now
+        t4 = marks.get("t4", now)
+        t5 = marks.get("t5", now)
         # ULT-local key strategy for the handler-pool delay.
-        ult.local["target_handler_time"] = t5 - t4
-        ctx = ult.local["trace_ctx"]
-        order = self._take_order(ctx)
+        local["target_handler_time"] = t5 - t4
+        ctx["next_order"] = order + 1
         rt = mi.rt
         self.trace.append_event(
             _K_TARGET_ULT_START,
-            ctx["request_id"],
+            request_id,
             order,
             lamport,
-            mi.local_time(),
-            mi.sim.now,
+            mi.clock.read(now),
+            now,
             handle.rpc_name,
-            header.get("callpath", 0),
-            header.get("span_id", 0),
-            header.get("parent_span_id"),
-            header.get("provider_id", 0),
+            code,
+            0 if span_id is None else span_id,
+            get("parent_span_id"),
+            get("provider_id", 0),
             rt.num_blocked,
             rt.num_ready,
             rt.num_running,
@@ -334,7 +345,7 @@ class SymbiosysInstrumentation(Instrumentation):
             # t_arrival: when the request reached the target endpoint CQ
             # (before progress picked it up); the internal-RDMA time is
             # carved out of [t_arrival, t4] by the critical-path engine.
-            handle.marks.get("t_arrival", t4),
+            marks.get("t_arrival", t4),
             handle.pvar_get_or("internal_rdma_transfer_time", 0.0),
         )
 
@@ -345,40 +356,44 @@ class SymbiosysInstrumentation(Instrumentation):
         lamport = mi.lamport_tick()
         header["lamport"] = lamport
         ctx = self._ctx(ult, mi)
-        if self.stage >= Stage.STAGE2:
-            t5 = handle.marks.get("t5", 0.0)
-            t8 = handle.marks["t8"]
-            exec_incl = t8 - t5
-            exec_excl = exec_incl - ult.local.get("child_rpc_time", 0.0)
-            ult.local["target_execution_time"] = exec_incl
-            ult.local["target_execution_time_exclusive"] = exec_excl
-            order = self._take_order(ctx)
-            header["order"] = ctx["next_order"]
-            rt = mi.rt
-            self.trace.append_event(
-                _K_TARGET_RESPOND,
-                ctx["request_id"],
-                order,
-                lamport,
-                mi.local_time(),
-                mi.sim.now,
-                handle.rpc_name,
-                header.get("callpath", 0),
-                header.get("span_id", 0),
-                header.get("parent_span_id"),
-                header.get("provider_id", 0),
-                rt.num_blocked,
-                rt.num_ready,
-                rt.num_running,
-                mi.stats.cpu_utilization(),
-                mi.stats.memory_bytes,
-                t8,
-                exec_incl,
-                exec_excl,
-                handle.pvar_get_or("bulk_transfer_time", 0.0),
-            )
-        else:
-            header["order"] = ctx["next_order"]
+        order = ctx["next_order"]
+        if self.stage < Stage.STAGE2:
+            header["order"] = order
+            return
+        marks = handle.marks
+        t5 = marks.get("t5", 0.0)
+        t8 = marks["t8"]
+        exec_incl = t8 - t5
+        local = ult.local
+        exec_excl = exec_incl - local.get("child_rpc_time", 0.0)
+        local["target_execution_time"] = exec_incl
+        local["target_execution_time_exclusive"] = exec_excl
+        ctx["next_order"] = header["order"] = order + 1
+        get = header.get
+        now = mi.sim.now
+        rt = mi.rt
+        self.trace.append_event(
+            _K_TARGET_RESPOND,
+            ctx["request_id"],
+            order,
+            lamport,
+            mi.clock.read(now),
+            now,
+            handle.rpc_name,
+            get("callpath", 0),
+            get("span_id", 0),
+            get("parent_span_id"),
+            get("provider_id", 0),
+            rt.num_blocked,
+            rt.num_ready,
+            rt.num_running,
+            mi.stats.cpu_utilization(),
+            mi.stats.memory_bytes,
+            t8,
+            exec_incl,
+            exec_excl,
+            handle.pvar_get_or("bulk_transfer_time", 0.0),
+        )
 
     def on_handler_end(self, mi, handle, ult) -> None:
         if self.stage < Stage.STAGE2:

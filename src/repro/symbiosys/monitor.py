@@ -425,7 +425,12 @@ class SchedRecorder:
 
 class PeriodicSampler:
     """Drives :meth:`Monitor.sample` every ``interval`` simulated
-    seconds by self-rescheduling on the simulator's event queue."""
+    seconds by self-rescheduling on the simulator's event queue.
+
+    Each :meth:`start` opens a new tick chain tagged with a generation
+    number; a tick from an earlier chain (still queued when the sampler
+    was stopped and restarted) sees a stale generation and ends there,
+    so at most one chain is ever live."""
 
     def __init__(self, sim: "Simulator", interval: float, sample: Callable[[float], None]):
         self.sim = sim
@@ -433,23 +438,25 @@ class PeriodicSampler:
         self._sample = sample
         self.ticks = 0
         self._running = False
+        self._generation = 0
 
     def start(self) -> None:
         if self._running:
             return
         self._running = True
-        self.sim.call_at(self.sim.now + self.interval, self._tick)
+        self._generation += 1
+        self.sim.call_at(self.sim.now + self.interval, self._tick, self._generation)
 
     def stop(self) -> None:
         # A tick already in the queue fires once more as a no-op.
         self._running = False
 
-    def _tick(self) -> None:
-        if not self._running:
+    def _tick(self, generation: int) -> None:
+        if not self._running or generation != self._generation:
             return
         self.ticks += 1
         self._sample(self.sim.now)
-        self.sim.call_at(self.sim.now + self.interval, self._tick)
+        self.sim.call_at(self.sim.now + self.interval, self._tick, generation)
 
 
 class _PvarRow:

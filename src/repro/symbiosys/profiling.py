@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Any, Iterable, Optional, Sequence
 
 __all__ = ["IntervalStats", "ProfileKey", "ProfileStore", "INTERVALS"]
 
@@ -41,14 +41,60 @@ _MASK64 = (1 << 64) - 1
 def _slot_priority(seq: int) -> int:
     """Deterministic pseudo-random priority for reservoir sampling --
     depends only on the sample's sequence number, never on wall clocks.
-    splitmix64 finalizer: cheap enough for the instrumentation hot path."""
+    splitmix64 finalizer."""
     z = (seq + 0x9E3779B97F4A7C15) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
 
 
-@dataclass
+#: Sequence numbers below this bound read their priority from
+#: ``_PRIORITIES``; larger ones (a stats object past this many samples)
+#: compute it.
+PRIORITY_TABLE_BOUND = 1 << 10
+#: ``_PRIORITIES[seq] == _slot_priority(seq)``: an immutable table built
+#: once at import and shared by every stats object.
+_PRIORITIES = tuple(_slot_priority(seq) for seq in range(PRIORITY_TABLE_BOUND))
+
+
+def _fold(
+    by_interval: dict[Any, "IntervalStats"], items: Iterable[tuple[Any, float]]
+) -> None:
+    """Add each ``(interval, value)`` sample to ``by_interval[interval]``
+    (created when missing), in order: count, total, extremes, then the
+    reservoir offer keyed by the sample's priority.
+
+    The one accumulation loop -- :meth:`IntervalStats.add` and
+    :meth:`ProfileStore.add_many` both go through it -- so the float
+    additions and reservoir decisions are the same whichever is used.
+    """
+    table = _PRIORITIES
+    for interval, value in items:
+        stats = by_interval.get(interval)
+        if stats is None:
+            stats = by_interval[interval] = IntervalStats()
+        seq = stats.count + 1
+        stats.count = seq
+        stats.total += value
+        if value < stats.minimum:
+            stats.minimum = value
+        if value > stats.maximum:
+            stats.maximum = value
+        priority = (
+            table[seq] if seq < PRIORITY_TABLE_BOUND else _slot_priority(seq)
+        )
+        reservoir = stats._reservoir
+        if len(reservoir) < RESERVOIR_SIZE:
+            reservoir.append((priority, value))
+            if len(reservoir) == RESERVOIR_SIZE:
+                reservoir.sort()
+        elif priority > reservoir[0][0]:
+            # Reservoir full (kept sorted): replace the lowest priority.
+            del reservoir[0]
+            bisect.insort(reservoir, (priority, value))
+
+
+@dataclass(slots=True)
 class IntervalStats:
     """Streaming summary of one measured interval.
 
@@ -65,24 +111,7 @@ class IntervalStats:
     _reservoir: list[tuple[int, float]] = field(default_factory=list, repr=False)
 
     def add(self, value: float) -> None:
-        self.count += 1
-        self.total += value
-        if value < self.minimum:
-            self.minimum = value
-        if value > self.maximum:
-            self.maximum = value
-        self._offer(_slot_priority(self.count), value)
-
-    def _offer(self, priority: int, value: float) -> None:
-        if len(self._reservoir) < RESERVOIR_SIZE:
-            self._reservoir.append((priority, value))
-            if len(self._reservoir) == RESERVOIR_SIZE:
-                self._reservoir.sort()
-            return
-        # Reservoir full (kept sorted): replace the lowest priority.
-        if priority > self._reservoir[0][0]:
-            self._reservoir.pop(0)
-            bisect.insort(self._reservoir, (priority, value))
+        _fold({None: self}, ((None, value),))
 
     def merge(self, other: "IntervalStats") -> None:
         self.count += other.count
@@ -170,7 +199,8 @@ class ProfileStore:
         """Accumulate ``(interval, value)`` pairs under one key, in order.
 
         One hook's measurements share a key, so the key is hashed once
-        for all of them rather than once per interval.
+        for all of them rather than once per interval.  Every interval
+        name is checked before anything is added.
         """
         for interval, _ in items:
             if interval not in _INTERVAL_SET:
@@ -180,11 +210,7 @@ class ProfileStore:
             if not items:
                 return
             by_interval = self._data[key] = {}
-        for interval, value in items:
-            stats = by_interval.get(interval)
-            if stats is None:
-                stats = by_interval[interval] = IntervalStats()
-            stats.add(value)
+        _fold(by_interval, items)
 
     def get(self, key: ProfileKey, interval: str) -> Optional[IntervalStats]:
         return self._data.get(key, {}).get(interval)

@@ -111,33 +111,22 @@ TRACE_PVAR_FLOAT_KEYS = (
     "origin_completion_callback_time",
 )
 
-# Integer-column record layout (one stride per event).
+# Integer-column record layout, one stride per event: interned
+# request id, interned rpc name, order, lamport, span id, parent span id
+# (-1 encodes None), provider id, blocked/ready/running ULTs, memory
+# bytes, and the row into the pvar side table (-1 if no pvars).
 _QSTRIDE = 12
-_Q_REQ = 0  # interned request-id
-_Q_RPC = 1  # interned rpc name
-_Q_ORDER = 2
-_Q_LAMPORT = 3
-_Q_SPAN = 4
-_Q_PARENT = 5  # -1 encodes parent_span_id=None
-_Q_PROVIDER = 6
-_Q_SS_BLOCKED = 7
-_Q_SS_READY = 8
-_Q_SS_RUNNING = 9
-_Q_SS_MEM = 10
-_Q_PVROW = 11  # row into the pvar side table, -1 if no pvars
 
-# Float-column record layout.
+# Float-column record layout: local ts, true ts, cpu utilization, then
+# the data values in TRACE_DATA_KEYS[kind] order.
 _DSTRIDE = 7
-_D_LOCAL = 0
 _D_TRUE = 1
-_D_SS_CPU = 2
-_D_DATA0 = 3  # data values, in TRACE_DATA_KEYS[kind] order
 
 _N_PV_INT = len(TRACE_PVAR_INT_KEYS)
 _N_PV_FLOAT = len(TRACE_PVAR_FLOAT_KEYS)
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceEvent:
     """One point event in a distributed request trace."""
 
@@ -374,50 +363,64 @@ class TraceBuffer:
 
     # -- reading (materialization) ---------------------------------------------
 
-    def _materialize(self, i: int) -> TraceEvent:
-        q = self._q
-        d = self._d
-        qb = i * _QSTRIDE
-        db = i * _DSTRIDE
-        code = self._kind[i]
+    def _materialize(self, start: int) -> Iterator[TraceEvent]:
+        """TraceEvent views of rows ``[start, len(self))``, in one pass.
+
+        Each row's integer and float stripes are unpacked in one step by
+        zipping strided iterators over the columns (no per-row slicing
+        or index arithmetic), and the per-kind dicts are built with
+        ``zip`` in schema order.
+        """
+        process = self.process
         strings = self._strings
-        parent = q[qb + _Q_PARENT]
-        pvrow = q[qb + _Q_PVROW]
-        pvars: dict[str, Any] = {}
-        if pvrow >= 0:
-            pq = pvrow * _N_PV_INT
-            pd = pvrow * _N_PV_FLOAT
-            pv_q = self._pv_q
-            pv_d = self._pv_d
-            for j, name in enumerate(TRACE_PVAR_INT_KEYS):
-                pvars[name] = pv_q[pq + j]
-            for j, name in enumerate(TRACE_PVAR_FLOAT_KEYS):
-                pvars[name] = pv_d[pd + j]
-        keys = TRACE_DATA_KEYS[code]
-        data = {key: d[db + _D_DATA0 + j] for j, key in enumerate(keys)}
-        return TraceEvent(
-            kind=_KINDS[code],
-            request_id=strings[q[qb + _Q_REQ]],
-            order=q[qb + _Q_ORDER],
-            lamport=q[qb + _Q_LAMPORT],
-            process=self.process,
-            local_ts=d[db + _D_LOCAL],
-            true_ts=d[db + _D_TRUE],
-            rpc_name=strings[q[qb + _Q_RPC]],
-            callpath=self._callpath[i],
-            span_id=q[qb + _Q_SPAN],
-            parent_span_id=None if parent < 0 else parent,
-            provider_id=q[qb + _Q_PROVIDER],
-            data=data,
-            pvars=pvars,
-            sysstats={
-                "num_blocked": q[qb + _Q_SS_BLOCKED],
-                "num_ready": q[qb + _Q_SS_READY],
-                "num_running": q[qb + _Q_SS_RUNNING],
-                "cpu_util": d[db + _D_SS_CPU],
-                "memory_bytes": q[qb + _Q_SS_MEM],
-            },
-        )
+        pv_q = self._pv_q
+        pv_d = self._pv_d
+        islice = itertools.islice
+        q_rows = zip(*[islice(self._q, start * _QSTRIDE, None)] * _QSTRIDE)
+        d_rows = zip(*[islice(self._d, start * _DSTRIDE, None)] * _DSTRIDE)
+        for code, callpath, q_row, d_row in zip(
+            islice(self._kind, start, None),
+            islice(self._callpath, start, None),
+            q_rows,
+            d_rows,
+        ):
+            (
+                req, rpc, order, lamport, span, parent, provider,
+                blocked, ready, running, memory, pvrow,
+            ) = q_row
+            local_ts, true_ts, cpu_util, d0, d1, d2, d3 = d_row
+            if pvrow < 0:
+                pvars: dict[str, Any] = {}
+            else:
+                pq = pvrow * _N_PV_INT
+                pd = pvrow * _N_PV_FLOAT
+                pvars = dict(zip(TRACE_PVAR_INT_KEYS, pv_q[pq : pq + _N_PV_INT]))
+                pvars.update(
+                    zip(TRACE_PVAR_FLOAT_KEYS, pv_d[pd : pd + _N_PV_FLOAT])
+                )
+            yield TraceEvent(
+                _KINDS[code],
+                strings[req],
+                order,
+                lamport,
+                process,
+                local_ts,
+                true_ts,
+                strings[rpc],
+                callpath,
+                span,
+                None if parent < 0 else parent,
+                provider,
+                dict(zip(TRACE_DATA_KEYS[code], (d0, d1, d2, d3))),
+                pvars,
+                {
+                    "num_blocked": blocked,
+                    "num_ready": ready,
+                    "num_running": running,
+                    "cpu_util": cpu_util,
+                    "memory_bytes": memory,
+                },
+            )
 
     @property
     def events(self) -> list[TraceEvent]:
@@ -427,11 +430,8 @@ class TraceBuffer:
         identity across exporters) are stable.
         """
         mat = self._mat
-        n = self._n
-        if len(mat) != n:
-            materialize = self._materialize
-            for i in range(len(mat), n):
-                mat.append(materialize(i))
+        if len(mat) != self._n:
+            mat.extend(self._materialize(len(mat)))
         return mat
 
     def __iter__(self) -> Iterator[TraceEvent]:

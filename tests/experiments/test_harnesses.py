@@ -1,5 +1,8 @@
 """Smoke and invariant tests for the experiment harnesses (scaled-down)."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.experiments import (
@@ -72,12 +75,17 @@ def test_hepnos_experiment_timeout_errors():
         run_hepnos_experiment(SMALL, events_per_client=256, time_limit=1e-6)
 
 
-def test_mobject_experiment_smoke():
-    result = run_mobject_experiment(
+@pytest.fixture(scope="module")
+def mobject_smoke():
+    return run_mobject_experiment(
         n_clients=3,
         ior_config=IorConfig(objects_per_client=2, transfer_size=4096,
                              read_iterations=1),
     )
+
+
+def test_mobject_experiment_smoke(mobject_smoke):
+    result = mobject_smoke
     summary = result.summary
     names = {row.name for row in summary.rows}
     assert "mobject_write_op" in names
@@ -87,6 +95,21 @@ def test_mobject_experiment_smoke():
     assert len(trace.discrete_calls()) == 12
     spans = result.write_op_zipkin()
     assert len(spans) == 13  # root + 12 children
+
+
+#: sha256 of the smoke run's Fig 5 Zipkin document (canonical JSON).  Any
+#: change to the hooks, the trace buffer or the stitcher that moves a
+#: timestamp, a tag or a span of the write_op shows up here.
+FIG5_SMOKE_ZIPKIN_SHA256 = (
+    "d1c6c1f59fdf380a9fa7cfb001ed13b3d6d2d05ec8dc2563fd260281c8debf8b"
+)
+
+
+def test_mobject_write_op_zipkin_is_pinned(mobject_smoke):
+    doc = json.dumps(
+        mobject_smoke.write_op_zipkin(), sort_keys=True, separators=(",", ":")
+    )
+    assert hashlib.sha256(doc.encode()).hexdigest() == FIG5_SMOKE_ZIPKIN_SHA256
 
 
 def test_sonata_experiment_smoke():

@@ -4,11 +4,13 @@ import sqlite3
 
 import pytest
 
+from repro.experiments import run_mobject_experiment
 from repro.store import PerfStore, StoreWriter, record_bench_suite
 from repro.store.archive import ArchivedRun
 from repro.store.schema import SCHEMA_VERSION, ensure_schema, schema_version
 from repro.symbiosys.analysis import profile_summary, trace_summary
 from repro.symbiosys.export import series_to_csv
+from repro.workloads import IorConfig
 
 from .conftest import record_echo_run
 
@@ -111,6 +113,23 @@ class TestTraceAndProfileRoundTrip:
             trace_summary(archived).render() == trace_summary(live).render()
         )
 
+    def test_stitch_matches_live_span_by_span(self, echo_store):
+        store, world = echo_store
+        archived = ArchivedRun(store, world.cluster.run_id)
+        live = stitched_view(trace_summary(world.cluster.collector))
+        assert stitched_view(trace_summary(archived)) == live
+        assert len(live["requests"]) == 8
+
+    def test_nested_stitch_matches_live_span_by_span(self, mobject_archive):
+        """A Mobject run nests 12 SDSKV/BAKE calls under each write_op, so
+        parent/child links, corrected timestamps across processes and the
+        per-request ordering all get exercised."""
+        archived, collector = mobject_archive
+        live = stitched_view(trace_summary(collector))
+        assert stitched_view(trace_summary(archived)) == live
+        children = [span[7] for _, _, spans in live["requests"] for span in spans]
+        assert any(children)
+
     def test_findings_and_slices(self, echo_store):
         store, world = echo_store
         archived = ArchivedRun(store, world.cluster.run_id)
@@ -184,3 +203,54 @@ class TestMultiRun:
             assert [r["seed"] for r in runs] == [0, 1]
         finally:
             store.close()
+
+
+def stitched_view(summary):
+    """Everything the stitcher decides, in its own order: per request the
+    roots and every span's identity, processes, corrected t1/t5/t8/t14,
+    parent, children, event count and attributed faults; then the clock
+    offsets, event total and annotations."""
+    requests = []
+    for request_id, req in summary.requests.items():
+        spans = [
+            (
+                span.span_id,
+                span.rpc_name,
+                span.callpath,
+                span.origin_process,
+                span.target_process,
+                (span.t1, span.t5, span.t8, span.t14),
+                span.parent_span_id,
+                [child.span_id for child in span.children],
+                len(span.events),
+                span.faults,
+            )
+            for span in req.spans.values()
+        ]
+        requests.append(
+            (request_id, [root.span_id for root in req.roots], spans)
+        )
+    return {
+        "requests": requests,
+        "clock_offsets": list(summary.clock_offsets.items()),
+        "total_events": summary.total_events,
+        "annotations": summary.annotations,
+    }
+
+
+@pytest.fixture(scope="module")
+def mobject_archive(tmp_path_factory):
+    """(ArchivedRun, live collector) of a small ior-over-Mobject run
+    recorded through ``StoreWriter.record_collector``."""
+    result = run_mobject_experiment(
+        n_clients=2,
+        ior_config=IorConfig(
+            objects_per_client=2, transfer_size=4096, read_iterations=1
+        ),
+    )
+    store = PerfStore(str(tmp_path_factory.mktemp("mobject") / "perf.db"))
+    with StoreWriter(store) as writer:
+        run_id = writer.begin_run("mobject-smoke", kind="experiment")
+        writer.record_collector(run_id, result.collector)
+    yield ArchivedRun(store, run_id), result.collector
+    store.close()

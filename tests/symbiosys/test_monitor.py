@@ -13,6 +13,7 @@ from repro.symbiosys.monitor import (
     ForwardTimeoutBurstDetector,
     Monitor,
     MonitorConfig,
+    PeriodicSampler,
     ProgressStarvationDetector,
     QueueDepthWatermarkDetector,
     SchedRecorder,
@@ -256,6 +257,35 @@ def test_sched_recorder_bounded():
     rec.on_slice(es, ult, 0.0, 1e-6)
     rec.on_slice(es, ult, 2e-6, 3e-6)
     assert len(rec) == 1 and rec.dropped == 1
+
+
+def test_sampler_restart_within_interval_keeps_one_tick_chain():
+    """Stopping and restarting inside one interval must not leave the
+    stale tick armed: only the new chain (1.5, 2.5, 3.5, 4.5) ticks."""
+    from repro.sim import Simulator
+
+    sim = Simulator()
+    times = []
+    sampler = PeriodicSampler(sim, 1.0, times.append)
+    sampler.start()
+    sim.call_at(0.5, sampler.stop)
+    sim.call_at(0.5, sampler.start)
+    sim.run(until=5.2)
+    assert times == [1.5, 2.5, 3.5, 4.5]
+    assert sampler.ticks == 4
+
+
+def test_sampler_stop_ends_the_chain():
+    from repro.sim import Simulator
+
+    sim = Simulator()
+    times = []
+    sampler = PeriodicSampler(sim, 1.0, times.append)
+    sampler.start()
+    sim.call_at(2.5, sampler.stop)
+    sim.run(until=10.0)
+    assert times == [1.0, 2.0]
+    assert sim.pending_events == 0
 
 
 def test_finding_as_row():
