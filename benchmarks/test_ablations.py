@@ -4,8 +4,8 @@ These extend the paper's evaluation along the axes DESIGN.md §5 calls
 out: the OFI_max_events knob as a sweep rather than two points, the
 progress-thread x batch-size interaction, the backend choice behind the
 Figure 10 serialization, the callpath-depth limitation, instrumentation
-stage costs on a hot path, and -- the paper's future work -- whether an
-in-situ policy engine can find the C7 configuration automatically.
+stage costs on a hot path, and -- the paper's future work -- whether
+in-situ policies can find the C7 configuration automatically.
 """
 
 import time
@@ -21,7 +21,6 @@ from repro.experiments import (
 )
 from repro.symbiosys import (
     DedicateProgressES,
-    PolicyEngine,
     RaiseOfiMaxEvents,
     Stage,
 )
@@ -333,23 +332,18 @@ def test_ablation_stages(benchmark, report):
 
 
 def test_ablation_autotuner(benchmark, report):
-    """The future-work extension: starting from the pathological C5, the
-    in-situ policy engine raises OFI_max_events and dedicates a progress
-    ES online, recovering most of the hand-tuned C7 improvement."""
+    """The future-work extension: starting from the pathological C5,
+    in-situ policies raise OFI_max_events and dedicate a progress ES
+    online, recovering most of the hand-tuned C7 improvement."""
 
-    def _make_engine(mi):
+    def _make_policies(mi):
         # Staggered escalation matching the paper's C5 -> C6 -> C7 story:
         # raise the read cap first; dedicate a progress ES only if the
         # queue stays deep afterwards.
-        return PolicyEngine(
-            mi,
-            [
-                RaiseOfiMaxEvents(window=4, cooldown=0.5e-3, max_cap=64),
-                DedicateProgressES(window=16, depth_threshold=8,
-                                   cooldown=2e-3),
-            ],
-            period=0.1e-3,
-        )
+        return [
+            RaiseOfiMaxEvents(mi, window=4, cooldown=0.5e-3, max_cap=64),
+            DedicateProgressES(mi, window=16, depth_threshold=8, cooldown=2e-3),
+        ]
 
     def _run_all():
         plain = run_hepnos_experiment(
@@ -359,7 +353,7 @@ def test_ablation_autotuner(benchmark, report):
             TABLE_IV["C5"],
             events_per_client=EVENTS,
             pipeline_width=64,
-            client_policy_factory=_make_engine,
+            policies=_make_policies,
         )
         hand = run_hepnos_experiment(
             TABLE_IV["C7"], events_per_client=EVENTS, pipeline_width=64
@@ -375,20 +369,19 @@ def test_ablation_autotuner(benchmark, report):
         }
         for name, r in (
             ("C5 (static)", plain),
-            ("C5 + policy engine", tuned),
+            ("C5 + policies", tuned),
             ("C7 (hand-tuned)", hand),
         )
     ]
     report.append("Ablation: in-situ autotuning from C5")
     report.append(ascii_table(rows))
-    actions = [a for e in tuned.policy_engines for a in e.actions]
-    for a in actions[:8]:
-        report.append(f"  t={a.time * 1e3:.2f}ms {a.policy}: {a.description}")
+    findings = tuned.monitor.findings
+    for f in findings[:8]:
+        report.append(f"  t={f.time * 1e3:.2f}ms {f.detector}: {f.message}")
 
-    # The engine actually reconfigured something on every client.
-    assert len(tuned.policy_engines) == 2
-    assert all(e.actions for e in tuned.policy_engines)
-    fired = {a.policy for a in actions}
+    # The policies actually reconfigured something on every client.
+    assert {f.process for f in findings} == set(tuned.client_addrs)
+    fired = {f.detector for f in findings}
     assert "RaiseOfiMaxEvents" in fired
     # Autotuned C5 closes most of the gap to hand-tuned C7.
     gap_static = plain.cumulative_origin_time - hand.cumulative_origin_time
@@ -397,4 +390,4 @@ def test_ablation_autotuner(benchmark, report):
     report.append(f"gap to hand-tuned C7 closed: {100 * closed:.1f}%")
     assert closed > 0.5
     benchmark.extra_info["gap_closed"] = round(closed, 4)
-    benchmark.extra_info["actions"] = [a.description for a in actions]
+    benchmark.extra_info["actions"] = [f.message for f in findings]

@@ -12,7 +12,7 @@ Package map (bottom-up):
 * :mod:`repro.ssg`       -- scalable service groups
 * :mod:`repro.symbiosys` -- THE PAPER'S CONTRIBUTION: callpath profiling,
   distributed tracing, PVAR fusion, analysis scripts, Zipkin export,
-  and the in-situ policy engine
+  the online monitor, and in-situ policies that run on it as detectors
 * :mod:`repro.services`  -- BAKE, SDSKV, Sonata, REMI, Mobject, HEPnOS
 * :mod:`repro.workloads` -- ior, synthetic event files, JSON records
 * :mod:`repro.experiments` -- Table IV configs and per-figure harnesses

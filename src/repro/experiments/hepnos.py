@@ -11,7 +11,7 @@ breakdown (Fig 9), blocked-ULT samples versus request start time
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from ..margo import MargoConfig, MargoInstance
 from ..net import Fabric
@@ -25,6 +25,7 @@ from ..symbiosys.analysis import (
     profile_summary,
 )
 from ..symbiosys.monitor import Monitor, MonitorConfig
+from ..symbiosys.policy import Policy
 from ..workloads import flatten_to_pairs, generate_event_files
 from .configs import HEPnOSConfig
 from .presets import THETA_KNL, Preset
@@ -51,9 +52,8 @@ class HEPnOSExperimentResult:
     rpcs_issued: int
     client_addrs: list[str]
     server_addrs: list[str]
-    #: PolicyEngines attached by the autotuning extension (if any).
-    policy_engines: list = field(default_factory=list)
-    #: Online telemetry monitor (when the run was monitored; else None).
+    #: Online telemetry monitor (when the run was monitored or ran
+    #: policies; else None).  Policy firings are its findings.
     monitor: Optional[Monitor] = None
     _summary: Optional[ProfileSummary] = field(default=None, repr=False)
 
@@ -129,20 +129,20 @@ def run_hepnos_experiment(
     seed: int = 7,
     time_limit: float = 300.0,
     collector: Optional[SymbiosysCollector] = None,
-    client_policy_factory=None,
-    server_policy_factory=None,
+    policies: Optional[Callable[[MargoInstance], list[Policy]]] = None,
     monitoring: Optional[MonitorConfig] = None,
 ) -> HEPnOSExperimentResult:
     """Deploy ``config``, run the data-loader, and collect the results.
 
-    ``client_policy_factory`` / ``server_policy_factory``, if given, are
-    called with each client/server MargoInstance and should return a
-    :class:`~repro.symbiosys.policy.PolicyEngine` (or None) -- the
-    dynamic-reconfiguration extension.  Engines are returned on the
-    result's ``policy_engines`` attribute.
-
     ``monitoring`` attaches an online :class:`Monitor` to every process
     for the duration of the run (returned as ``result.monitor``).
+
+    ``policies``, if given, is called with each client MargoInstance and
+    returns the :class:`~repro.symbiosys.policy.Policy` rules to run on
+    it -- the dynamic-reconfiguration extension.  They join the run's
+    monitor as detectors (a monitor with no built-in detectors and no
+    attached processes when ``monitoring`` is None), and their firings
+    are ``result.monitor.findings``.
     """
     sim = Simulator()
     fabric = Fabric(sim, preset.fabric)
@@ -169,18 +169,14 @@ def run_hepnos_experiment(
         monitor = Monitor(sim, monitoring, fabric=fabric)
         for server_mi in service.servers:
             monitor.attach(server_mi)
+    elif policies is not None:
+        monitor = Monitor(sim, MonitorConfig(detectors=()))
+    if monitor is not None:
         monitor.start()
 
     if pipeline_width is None:
         windows = max(1, events_per_client // config.batch_size)
         pipeline_width = min(32, max(2, windows))
-
-    policy_engines = []
-    if server_policy_factory is not None:
-        for server_mi in service.servers:
-            engine = server_policy_factory(server_mi)
-            if engine is not None:
-                policy_engines.append(engine)
 
     loaders: list[DataLoader] = []
     client_addrs: list[str] = []
@@ -217,11 +213,9 @@ def run_hepnos_experiment(
                 response_cost=preset.loader_response_cost,
             ),
         )
-        if client_policy_factory is not None:
-            engine = client_policy_factory(mi)
-            if engine is not None:
-                policy_engines.append(engine)
-        if monitor is not None:
+        if policies is not None:
+            monitor.detectors.extend(policies(mi))
+        if monitoring is not None:
             monitor.attach(mi)
         loader.load(flatten_to_pairs(files))
         loaders.append(loader)
@@ -238,7 +232,7 @@ def run_hepnos_experiment(
             f"{time_limit} simulated seconds"
         )
 
-    result = HEPnOSExperimentResult(
+    return HEPnOSExperimentResult(
         config=config,
         collector=collector,
         makespan=max(ld.finished_at for ld in loaders),
@@ -246,7 +240,5 @@ def run_hepnos_experiment(
         rpcs_issued=sum(ld.client.rpcs_issued for ld in loaders),
         client_addrs=client_addrs,
         server_addrs=[s.addr for s in service.servers],
+        monitor=monitor,
     )
-    result.policy_engines = policy_engines
-    result.monitor = monitor
-    return result

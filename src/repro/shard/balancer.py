@@ -1,7 +1,8 @@
 """Monitor-driven shard telemetry and hot-spot rebalancing.
 
-:class:`ShardHotspotDetector` plugs into the monitor's
-``detector_factories`` extension point.  On every sample tick it
+:class:`ShardHotspotDetector` is a monitor detector: build it over a
+deployed sharded service and append it to ``monitor.detectors``.  On
+every sample tick it
 
 * records per-shard operation counts into the monitor's time-series
   store (``shard_ops`` with ``process``/``shard`` labels — the feed for
@@ -22,9 +23,9 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..symbiosys.monitor import AnomalyDetector, Finding, MonitorConfig
+from ..symbiosys.monitor import AnomalyDetector, Finding
 
-__all__ = ["ShardHotspotDetector", "make_hotspot_detector_factory"]
+__all__ = ["ShardHotspotDetector"]
 
 
 class ShardHotspotDetector(AnomalyDetector):
@@ -34,15 +35,13 @@ class ShardHotspotDetector(AnomalyDetector):
 
     def __init__(
         self,
-        config: MonitorConfig,
-        *,
         manager,
         providers: dict,
+        *,
         hot_fraction: float = 0.5,
         min_window_ops: int = 16,
         cooldown: float = 1e-3,
     ):
-        self.config = config
         self.manager = manager
         self.providers = providers
         self.hot_fraction = hot_fraction
@@ -122,26 +121,3 @@ class ShardHotspotDetector(AnomalyDetector):
             return None
         return min(candidates)[1]
 
-
-def make_hotspot_detector_factory(
-    manager,
-    providers: dict,
-    **kw,
-):
-    """``detector_factories`` entry bound to a deployed sharded service.
-
-    Usage::
-
-        service = ShardedKVService.deploy(cluster, 32)
-        cluster.monitor.detectors.append(
-            make_hotspot_detector_factory(service.manager,
-                                          service.providers)(
-                cluster.monitor.config))
-    """
-
-    def factory(config: MonitorConfig) -> ShardHotspotDetector:
-        return ShardHotspotDetector(
-            config, manager=manager, providers=providers, **kw
-        )
-
-    return factory

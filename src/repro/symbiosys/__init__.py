@@ -11,6 +11,9 @@ Public surface:
 * :class:`Monitor` / :class:`MonitorConfig` -- always-on online
   telemetry: periodic sampling into ring-buffer time-series, scheduler
   slice recording, and anomaly detection.
+* :class:`Policy` (:class:`RaiseOfiMaxEvents`, :class:`DedicateProgressES`,
+  :class:`GrowHandlerPool`) -- in-situ reconfiguration rules that run as
+  monitor detectors.
 * :mod:`repro.symbiosys.export` -- the unified export surface
   (Prometheus text, CSV time-series, profile CSV, trace JSON,
   Perfetto, and the persistent performance store) behind one
@@ -24,15 +27,7 @@ from .instrument import SymbiosysInstrumentation
 from .metrics import MetricsRegistry, SeriesStore, TimeSeries
 from .monitor import AnomalyDetector, Finding, Monitor, MonitorConfig
 from .perfetto import chrome_trace_json, to_chrome_trace, write_chrome_trace
-from .policy import (
-    DedicateProgressES,
-    GrowHandlerPool,
-    MetricSample,
-    Policy,
-    PolicyAction,
-    PolicyEngine,
-    RaiseOfiMaxEvents,
-)
+from .policy import DedicateProgressES, GrowHandlerPool, Policy, RaiseOfiMaxEvents
 from .profiling import INTERVALS, IntervalStats, ProfileKey, ProfileStore
 from .stages import Stage
 from .tracing import (
@@ -51,13 +46,10 @@ __all__ = [
     "FaultAnnotation",
     "Finding",
     "GrowHandlerPool",
-    "MetricSample",
     "MetricsRegistry",
     "Monitor",
     "MonitorConfig",
     "Policy",
-    "PolicyAction",
-    "PolicyEngine",
     "RaiseOfiMaxEvents",
     "INTERVALS",
     "IntervalStats",

@@ -62,10 +62,9 @@ __all__ = [
 class MonitorConfig(Replaceable):
     """Configuration of one :class:`Monitor`.
 
-    ``detectors`` selects the built-in anomaly detectors by name;
-    ``detector_factories`` appends arbitrary extra detectors (each
-    factory is called with this config and must return an
-    :class:`AnomalyDetector`).
+    ``detectors`` selects the built-in anomaly detectors by name; other
+    detectors (policies, the shard rebalancer) are built by the caller
+    and appended to :attr:`Monitor.detectors`.
     """
 
     #: Sampling period on the *simulated* clock, seconds.
@@ -85,8 +84,6 @@ class MonitorConfig(Replaceable):
     timeout_burst_window: float = 1e-3
     #: Built-in detectors to arm.
     detectors: tuple[str, ...] = ("starvation", "queue_depth", "timeout_burst")
-    #: Extra detector factories: ``factory(config) -> AnomalyDetector``.
-    detector_factories: tuple[Callable, ...] = ()
 
     def __post_init__(self) -> None:
         if self.interval <= 0:
@@ -596,9 +593,6 @@ class Monitor:
             _BUILTIN_DETECTORS[name](self.config)
             for name in self.config.detectors
         ]
-        self.detectors.extend(
-            factory(self.config) for factory in self.config.detector_factories
-        )
         self.sampler = PeriodicSampler(sim, self.config.interval, self.sample)
 
     # -- wiring -------------------------------------------------------------

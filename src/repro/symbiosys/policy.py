@@ -1,282 +1,130 @@
-"""In-situ policy-driven dynamic reconfiguration.
-
-The paper's stated future work: "the creation of policy-driven
-mechanisms whereby rules governing response to poor performance behavior
-can be formulated and applied based on performance monitoring."  This
-module implements that loop on top of the SYMBIOSYS data sources:
-
-* a :class:`PolicyEngine` runs as a monitoring ULT on its own execution
-  stream (so it observes rather than perturbs), samples live metrics --
-  Mercury PVARs through a tool session, OFI queue depths, Argobots
-  blocked/ready counts, handler-pool backlogs -- at a fixed period, and
-* evaluates :class:`Policy` rules over the recent metric history; a rule
-  whose condition holds (and whose cooldown has elapsed) applies its
-  reconfiguration action to the live Margo instance.
-
-Built-in policies target the paper's three §V-C root causes:
-
-* :class:`RaiseOfiMaxEvents`   -- Figure 12's backed-up OFI event queue,
-* :class:`DedicateProgressES`  -- Figure 11's starved progress ULT,
-* :class:`GrowHandlerPool`     -- Figure 9's saturated handler pool.
+"""In-situ policy-driven dynamic reconfiguration, the paper's future
+work: a :class:`Policy` is a monitor detector bound to one Margo
+instance.  Each tick it records the live values its rule needs; when a
+full window calls for a reconfiguration (and the cooldown has elapsed)
+it returns a :class:`Finding` naming it and defers the reconfiguration
+onto the simulator queue at the same simulated time, so the tick stays
+a pure observer.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Generator, Optional, TYPE_CHECKING
+from collections import deque
+from typing import Optional
 
-if TYPE_CHECKING:  # pragma: no cover
-    from ..margo import MargoInstance
+from .monitor import AnomalyDetector, Finding
 
-__all__ = [
-    "MetricSample",
-    "Policy",
-    "PolicyAction",
-    "PolicyEngine",
-    "RaiseOfiMaxEvents",
-    "DedicateProgressES",
-    "GrowHandlerPool",
-]
+__all__ = ["Policy", "RaiseOfiMaxEvents", "DedicateProgressES", "GrowHandlerPool"]
 
 
-@dataclass(frozen=True)
-class MetricSample:
-    """One periodic observation of a process's live state."""
+class Policy(AnomalyDetector):
+    """Base rule: :meth:`observe` returns one history entry; :meth:`decide`
+    maps a full window to None or a reconfiguration, as its description
+    and the call that performs it."""
 
-    time: float
-    ofi_events_read: int  # num_ofi_events_read PVAR (last read batch)
-    ofi_max_events: int  # current cap
-    cq_depth: int  # instantaneous OFI completion-queue depth
-    completion_queue_size: int  # Mercury completion queue
-    num_blocked: int
-    num_ready: int
-    handler_backlog: int  # READY ULTs waiting in the handler pool
-    handler_es: int
+    def __init__(self, mi, *, window: int = 4, cooldown: float = 1e-3):
+        if window < 1:
+            raise ValueError("window must be positive")
+        self.mi = mi
+        self.name = type(self).__name__
+        #: Minimum simulated seconds between two firings of this rule.
+        self.cooldown = cooldown
+        self.history: deque = deque(maxlen=window)
+        self.last_fired = float("-inf")
+        # A policy is a PVAR-interface client, like any external tool.
+        mi.hg.pvars_enabled = True
+        self._pvars = mi.hg.pvar_session_init()
 
-
-@dataclass
-class PolicyAction:
-    """Record of one applied reconfiguration (the engine's audit log)."""
-
-    time: float
-    policy: str
-    description: str
-
-
-class Policy:
-    """Base rule: override :meth:`condition` and :meth:`apply`."""
-
-    #: Minimum simulated seconds between two firings of this rule.
-    cooldown: float = 1e-3
-    #: Samples of history the condition needs before it can fire.
-    min_history: int = 3
-
-    def __init__(self) -> None:
-        self.last_fired: Optional[float] = None
-        self.times_fired = 0
-
-    @property
-    def name(self) -> str:
-        return type(self).__name__
-
-    def condition(self, history: list[MetricSample]) -> bool:
+    def observe(self) -> tuple:
         raise NotImplementedError
 
-    def apply(self, mi: "MargoInstance") -> str:
-        """Perform the reconfiguration; returns a description."""
+    def decide(self, history) -> Optional[tuple]:
         raise NotImplementedError
 
-    def ready(self, now: float, history: list[MetricSample]) -> bool:
-        if len(history) < self.min_history:
-            return False
-        if self.last_fired is not None and now - self.last_fired < self.cooldown:
-            return False
-        return self.condition(history)
+    def on_sample(self, t: float, monitor) -> list[Finding]:
+        self.history.append(self.observe())
+        if len(self.history) < self.history.maxlen or t - self.last_fired < self.cooldown:
+            return []
+        action = self.decide(self.history)
+        if action is None:
+            return []
+        self.last_fired = t
+        description, perform = action
+        self.mi.sim.call_at(t, perform)
+        return [Finding(t, self.name, self.mi.addr, description)]
 
 
 class RaiseOfiMaxEvents(Policy):
-    """If the OFI read batch keeps hitting the cap, the event queue is
-    backed up (Figure 12's C5 signature): double the cap."""
+    """The OFI read batch keeps hitting the cap, so the event queue is
+    backed up (Figure 12's C5 signature): raise the cap by ``factor``."""
 
-    def __init__(
-        self,
-        *,
-        window: int = 4,
-        pegged_fraction: float = 0.75,
-        factor: int = 2,
-        max_cap: int = 256,
-        cooldown: float = 1e-3,
-    ):
-        super().__init__()
-        if not 0 < pegged_fraction <= 1:
-            raise ValueError("pegged_fraction must be in (0, 1]")
-        if factor < 2 or max_cap < 2:
-            raise ValueError("factor and max_cap must be at least 2")
-        self.window = window
+    def __init__(self, mi, *, pegged_fraction: float = 0.75,
+                 factor: int = 2, max_cap: int = 256, **kw):
+        super().__init__(mi, **kw)
+        if not 0 < pegged_fraction <= 1 or factor < 2 or max_cap < 2:
+            raise ValueError("need 0 < pegged_fraction <= 1, factor >= 2, max_cap >= 2")
         self.pegged_fraction = pegged_fraction
         self.factor = factor
         self.max_cap = max_cap
-        self.cooldown = cooldown
-        self.min_history = window
+        self._read_ofi_events = self._pvars.reader("num_ofi_events_read")
 
-    def condition(self, history: list[MetricSample]) -> bool:
-        recent = history[-self.window:]
-        cap = recent[-1].ofi_max_events
-        if cap >= self.max_cap:
-            return False
-        pegged = sum(1 for s in recent if s.ofi_events_read >= cap)
-        return pegged / len(recent) >= self.pegged_fraction
+    def observe(self) -> tuple[int, int]:
+        return self._read_ofi_events(), self.mi.hg.ofi_max_events
 
-    def apply(self, mi: "MargoInstance") -> str:
-        old = mi.hg.ofi_max_events
-        new = min(self.max_cap, old * self.factor)
-        mi.set_ofi_max_events(new)
-        return f"OFI_max_events {old} -> {new}"
+    def decide(self, history) -> Optional[tuple]:
+        cap = history[-1][1]
+        pegged = sum(1 for read, _ in history if read >= cap)
+        if cap >= self.max_cap or pegged / len(history) < self.pegged_fraction:
+            return None
+        new = min(self.max_cap, cap * self.factor)
+        return f"OFI_max_events {cap} -> {new}", lambda: self.mi.set_ofi_max_events(new)
 
 
 class DedicateProgressES(Policy):
-    """If the OFI queue stays deep even with a generous read cap, the
-    progress ULT is starved for CPU (Figure 11's C5/C6 signature): give
-    it a dedicated execution stream."""
+    """Deep OFI and Mercury completion queues mean a CPU-starved progress
+    ULT (Figure 11's C5/C6 signature): give it its own execution stream."""
 
-    def __init__(self, *, window: int = 4, depth_threshold: int = 8,
-                 cooldown: float = 1e-3):
-        super().__init__()
+    def __init__(self, mi, *, depth_threshold: int = 8, **kw):
+        super().__init__(mi, **kw)
         if depth_threshold < 1:
             raise ValueError("depth_threshold must be positive")
-        self.window = window
         self.depth_threshold = depth_threshold
-        self.cooldown = cooldown
-        self.min_history = window
+        self._read_cq_size = self._pvars.reader("completion_queue_size")
 
-    def condition(self, history: list[MetricSample]) -> bool:
-        recent = history[-self.window:]
-        deep = sum(
-            1
-            for s in recent
-            if s.cq_depth + s.completion_queue_size >= self.depth_threshold
-        )
-        return deep >= max(1, len(recent) // 2)
+    def observe(self) -> tuple[int, int]:
+        return self.mi.endpoint.cq_depth, self._read_cq_size()
 
-    def apply(self, mi: "MargoInstance") -> str:
-        migrated = mi.enable_progress_thread()
-        return (
-            "progress loop moved to dedicated ES"
-            if migrated
-            else "progress ES already dedicated"
-        )
+    def decide(self, history) -> Optional[tuple]:
+        mi = self.mi
+        deep = sum(1 for cq, hg in history if cq + hg >= self.depth_threshold)
+        if mi.progress_pool is not mi.primary_pool or deep < max(1, len(history) // 2):
+            return None
+        return "progress loop moved to dedicated ES", mi.enable_progress_thread
 
 
 class GrowHandlerPool(Policy):
-    """If spawned handler ULTs keep queueing in the pool, the target
-    lacks execution streams (Figure 9's C1 signature): add one."""
+    """Handler ULTs keep queueing in the pool, so the target lacks
+    execution streams (Figure 9's C1 signature): add one."""
 
-    def __init__(self, *, window: int = 4, backlog_per_es: float = 2.0,
-                 max_es: int = 64, cooldown: float = 1e-3):
-        super().__init__()
+    def __init__(self, mi, *, backlog_per_es: float = 2.0, max_es: int = 64, **kw):
+        super().__init__(mi, **kw)
         if backlog_per_es <= 0 or max_es < 1:
             raise ValueError("backlog_per_es and max_es must be positive")
-        self.window = window
         self.backlog_per_es = backlog_per_es
         self.max_es = max_es
-        self.cooldown = cooldown
-        self.min_history = window
 
-    def condition(self, history: list[MetricSample]) -> bool:
-        recent = history[-self.window:]
-        if recent[-1].handler_es >= self.max_es:
-            return False
-        saturated = sum(
-            1
-            for s in recent
-            if s.handler_backlog >= self.backlog_per_es * max(1, s.handler_es)
-        )
-        return saturated >= max(1, len(recent) // 2)
-
-    def apply(self, mi: "MargoInstance") -> str:
-        mi.add_handler_es()
-        n = sum(1 for es in mi.rt.xstreams if es.pool is mi.handler_pool)
-        return f"handler pool grown to {n} execution streams"
-
-
-class PolicyEngine:
-    """The in-situ monitoring + reconfiguration loop for one process."""
-
-    def __init__(
-        self,
-        mi: "MargoInstance",
-        policies: list[Policy],
-        *,
-        period: float = 100e-6,
-        history_limit: int = 256,
-        dedicated_es: bool = True,
-    ):
-        if period <= 0:
-            raise ValueError("period must be positive")
-        self.mi = mi
-        self.policies = policies
-        self.period = period
-        self.history: list[MetricSample] = []
-        self._history_limit = history_limit
-        self.actions: list[PolicyAction] = []
-        self._stopped = False
-        # The engine is a PVAR-interface client, like any external tool.
-        mi.hg.pvars_enabled = True
-        self._session = mi.hg.pvar_session_init()
-        # Bind the sampled PVARs to slot readers once; the periodic
-        # sampling loop then reads without per-tick name resolution.
-        self._read_ofi_events = self._session.reader("num_ofi_events_read")
-        self._read_cq_size = self._session.reader("completion_queue_size")
-        if dedicated_es:
-            pool = mi.rt.create_pool(f"{mi.addr}.monitor")
-            mi.rt.create_xstream(pool, f"{mi.addr}.es-monitor")
-        else:
-            pool = mi.primary_pool
-        self._ult = mi.rt.spawn(self._loop(), pool, name=f"{mi.addr}.policy")
-
-    def stop(self) -> None:
-        self._stopped = True
-
-    # -- sampling -------------------------------------------------------------
-
-    def sample(self) -> MetricSample:
+    def observe(self) -> tuple[int, int]:
+        """(ULTs queued in a dedicated handler pool, its ES count)."""
         mi = self.mi
-        handler_backlog = (
-            len(mi.handler_pool) if mi.handler_pool is not mi.primary_pool else 0
-        )
-        return MetricSample(
-            time=mi.sim.now,
-            ofi_events_read=self._read_ofi_events(),
-            ofi_max_events=mi.hg.ofi_max_events,
-            cq_depth=mi.endpoint.cq_depth,
-            completion_queue_size=self._read_cq_size(),
-            num_blocked=mi.rt.num_blocked,
-            num_ready=mi.rt.num_ready,
-            handler_backlog=handler_backlog,
-            handler_es=sum(
-                1 for es in mi.rt.xstreams if es.pool is mi.handler_pool
-            ),
-        )
+        n_es = sum(1 for es in mi.rt.xstreams if es.pool is mi.handler_pool)
+        return (0 if mi.handler_pool is mi.primary_pool else len(mi.handler_pool)), n_es
 
-    # -- the monitoring ULT ------------------------------------------------------
-
-    def _loop(self) -> Generator:
-        rt = self.mi.rt
-        while not self._stopped:
-            sample = self.sample()
-            self.history.append(sample)
-            if len(self.history) > self._history_limit:
-                del self.history[: -self._history_limit]
-            for policy in self.policies:
-                if policy.ready(sample.time, self.history):
-                    description = policy.apply(self.mi)
-                    policy.last_fired = sample.time
-                    policy.times_fired += 1
-                    self.actions.append(
-                        PolicyAction(
-                            time=sample.time,
-                            policy=policy.name,
-                            description=description,
-                        )
-                    )
-            yield from rt.sleep(self.period)
+    def decide(self, history) -> Optional[tuple]:
+        limit = self.backlog_per_es
+        saturated = sum(1 for backlog, n in history if backlog >= limit * max(1, n))
+        n_es = history[-1][1]
+        if n_es >= self.max_es or saturated < max(1, len(history) // 2):
+            return None
+        # A shared handler pool is first promoted to a dedicated one.
+        n = 1 if self.mi.handler_pool is self.mi.primary_pool else n_es + 1
+        return f"handler pool grown to {n} execution streams", self.mi.add_handler_es

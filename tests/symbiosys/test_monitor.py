@@ -25,11 +25,13 @@ def echo_handler(mi, handle):
     yield from mi.respond(handle, {"echo": inp})
 
 
-def run_monitored_echo(seed=0, n_requests=20, monitoring=None):
-    """One server + one client under a monitored Cluster; returns the
-    closed cluster (telemetry intact after shutdown)."""
+def run_monitored_echo(seed=0, n_requests=20, monitoring=None, detectors=()):
+    """One server + one client under a monitored Cluster, with any extra
+    ``detectors`` appended to the monitor; returns the closed cluster
+    (telemetry intact after shutdown)."""
     monitoring = monitoring or MonitorConfig(interval=25e-6)
     with Cluster(seed=seed, monitoring=monitoring) as cluster:
+        cluster.monitor.detectors.extend(detectors)
         server = cluster.process("svr", "nA", n_handler_es=1)
         client = cluster.process("cli", "nB")
         server.register("echo", echo_handler)
@@ -154,23 +156,19 @@ def test_monitored_runs_are_byte_identical():
     assert snapshot() == snapshot()
 
 
-def test_custom_detector_factory_runs():
+def test_custom_detector_runs_every_tick():
     hits = []
 
     class CountingDetector(AnomalyDetector):
         name = "counting"
 
-        def __init__(self, config):
-            pass
-
         def on_sample(self, t, monitor):
             hits.append(t)
             return []
 
-    cfg = MonitorConfig(
-        interval=25e-6, detector_factories=(lambda c: CountingDetector(c),)
+    cluster = run_monitored_echo(
+        monitoring=MonitorConfig(interval=25e-6), detectors=[CountingDetector()]
     )
-    cluster = run_monitored_echo(monitoring=cfg)
     assert len(hits) == cluster.monitor.sampler.ticks + 1  # +1 final sample
 
 
